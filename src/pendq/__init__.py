@@ -68,12 +68,14 @@ from .budget import (
     NoiseSpectrum,
     log_grid,
     mirror_thermal_asd,
+    model_components,
     quantum_noise_asd,
     spectra_to_csv,
     spectra_to_json,
     sql_asd,
     sub_sql_band,
     suspension_thermal_asd,
+    thermal_sub_sql_band,
     total_budget,
 )
 from .ringdown import (
@@ -93,82 +95,3 @@ from .ringdown import (
 from .config import ExperimentConfig, load_config, paper_preset
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CONST",
-    "FUSED_SILICA",
-    "Budget",
-    "BinnedEnvelope",
-    "Cavity",
-    "ConfigError",
-    "Constants",
-    "DegenerateFitError",
-    "DomainError",
-    "EffectiveOscillator",
-    "Environment",
-    "ExperimentConfig",
-    "Fiber",
-    "FitError",
-    "InsufficientDataError",
-    "LossBudget",
-    "Material",
-    "Mode",
-    "ModeKind",
-    "NoiseSpectrum",
-    "PendulumModel",
-    "QfReport",
-    "RequirementReport",
-    "RingdownFit",
-    "RingdownTrace",
-    "ShapeError",
-    "TestMass",
-    "bandpass",
-    "bin_average",
-    "cavity_kappa",
-    "circulating_power",
-    "dilution_factor",
-    "diluted_pendulum_q",
-    "effective_oscillator",
-    "effective_requirements",
-    "envelope",
-    "fit_exponential",
-    "fit_to_json",
-    "gas_damping_gamma",
-    "gas_limited_q",
-    "load_config",
-    "log_grid",
-    "material_loss_budget",
-    "material_q",
-    "measure_q",
-    "measurement_band_edge",
-    "measurement_band_edge_spectrum",
-    "mirror_thermal_asd",
-    "optical_rigidity",
-    "paper_preset",
-    "pendulum_frequency",
-    "pendulum_mode",
-    "pitch_frequency",
-    "pitch_mode",
-    "qf_requirement",
-    "quantum_noise_asd",
-    "radiation_pressure_force_psd",
-    "shot_noise_rin",
-    "spectra_to_csv",
-    "spectra_to_json",
-    "sql_asd",
-    "stiffened_oscillator",
-    "structural_gamma",
-    "sub_sql_band",
-    "surface_limited_q",
-    "suspension_modes",
-    "suspension_thermal_asd",
-    "synthesize_ringdown",
-    "thermal_decoherence_rate",
-    "thermoelastic_loss_angle",
-    "total_budget",
-    "trace_from_csv",
-    "trace_to_csv",
-    "violin_modes",
-    "yaw_frequency",
-    "zero_point_motion",
-]

@@ -18,9 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONST, DomainError, ShapeError, TestMass, _require_positive
+from .core import (
+    CONST,
+    ConfigError,
+    DomainError,
+    ShapeError,
+    TestMass,
+    _CSV_FLOAT,
+    _require_positive,
+)
 from .cavity import Cavity, radiation_pressure_force_psd
-from .suspension import Mode
+from .suspension import Mode, PendulumModel, suspension_modes
 
 QUADRATURE_REL_TOL = 1e-12
 
@@ -302,12 +310,72 @@ def sub_sql_band(budget: Budget, which: str = "thermal-only") -> list[tuple[floa
     return bands
 
 
+COMPONENT_NAMES = ("suspension", "mirror", "quantum")
+
+
+def model_components(
+    model: PendulumModel,
+    names,
+    grid_hz,
+    n_violin: int,
+    cavity: Cavity | None = None,
+    temperature: float | None = None,
+) -> list[NoiseSpectrum]:
+    """The named components of one pendulum model's budget, in order.
+
+    names are drawn from COMPONENT_NAMES: "suspension" (pendulum, pitch
+    and the first n_violin violin modes), "mirror" (substrate + coating
+    of the fiber material) and "quantum" (needs the readout cavity).
+    temperature defaults to the model's environment.
+    """
+    if temperature is None:
+        temperature = model.env.temperature
+    material = model.fiber.material
+    spectra = []
+    for name in names:
+        if name == "suspension":
+            modes = suspension_modes(model, n_violin=n_violin)
+            spectra.append(suspension_thermal_asd(modes, temperature, grid_hz))
+        elif name == "mirror":
+            spectra.append(
+                mirror_thermal_asd(
+                    model.test_mass,
+                    material.young_modulus,
+                    material.poisson_ratio,
+                    temperature,
+                    grid_hz,
+                )
+            )
+        elif name == "quantum":
+            if cavity is None:
+                raise DomainError("the quantum component needs a readout cavity")
+            spectra.append(quantum_noise_asd(cavity, model.test_mass.mass, grid_hz))
+        else:
+            raise ConfigError(
+                f"unknown budget component {name!r}; choose from "
+                f"{', '.join(COMPONENT_NAMES)}"
+            )
+    return spectra
+
+
+def thermal_sub_sql_band(
+    model: PendulumModel,
+    grid_hz,
+    n_violin: int,
+    temperature: float | None = None,
+) -> list[tuple[float, float]]:
+    """Sub-SQL band [Hz] of the model's suspension + mirror thermal noise."""
+    components = model_components(
+        model, ("suspension", "mirror"), grid_hz, n_violin, temperature=temperature
+    )
+    return sub_sql_band(total_budget(components, model.test_mass.mass, grid_hz))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
-_CSV_FLOAT = "%.8e"  # 9 significant digits, "." decimal, locale-independent
 
 
 def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:

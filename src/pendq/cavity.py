@@ -280,8 +280,9 @@ def effective_requirements(
     The Qf product uses (omega_eff, Q_eff); the measurement-rate band
     edge uses the bare (omega_m, Q_m) and is the same closed form the
     suspension module exposes.  sub_sql, if given, is a precomputed
-    thermal sub-SQL band; otherwise it is derived from the model's
-    thermal budget on the default grid.  The report lists the overlap of
+    thermal sub-SQL band; otherwise it is budget.thermal_sub_sql_band of
+    the model on the default log_grid() with 2 violin modes, whatever
+    grid and violin count a config names.  The report lists the overlap of
     the measurement-rate band with the sub-SQL band: frequencies where
     the oscillator is simultaneously measurable and below the SQL.
     """
@@ -291,19 +292,10 @@ def effective_requirements(
     eq1 = qf_requirement(eff.omega_eff, eff.q_eff, temperature)
     edge_hz = measurement_band_edge(eff.omega_m, eff.q_m, temperature)
     if sub_sql is None:
-        from . import budget as _budget
-        from .suspension import suspension_modes
+        from . import budget  # budget imports this module
 
-        grid = _budget.log_grid()
-        mat = model.fiber.material
-        components = [
-            _budget.suspension_thermal_asd(suspension_modes(model), temperature, grid),
-            _budget.mirror_thermal_asd(
-                model.test_mass, mat.young_modulus, mat.poisson_ratio, temperature, grid
-            ),
-        ]
-        sub_sql = _budget.sub_sql_band(
-            _budget.total_budget(components, model.test_mass.mass, grid)
+        sub_sql = budget.thermal_sub_sql_band(
+            model, budget.log_grid(), n_violin=2, temperature=temperature
         )
     overlap = tuple(
         (max(lo, edge_hz), hi) for lo, hi in sub_sql if hi > max(lo, edge_hz)

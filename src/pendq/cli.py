@@ -30,13 +30,12 @@ from .config import (
     load_raw,
     set_numeric,
 )
-from .core import ConfigError, DomainError, FitError, ShapeError
+from .core import ConfigError, DomainError, FitError, ShapeError, _CSV_FLOAT
 from .suspension import (
     diluted_pendulum_q,
     material_q,
     measurement_band_edge,
     pendulum_mode,
-    suspension_modes,
     violin_modes,
 )
 from .svgplot import Curve, Point, render_loglog
@@ -47,50 +46,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_ANALYSIS = 4
 
-COMPONENT_NAMES = ("suspension", "mirror", "quantum")
-
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers
+# Shared helpers
 # ---------------------------------------------------------------------------
-
-def _component_spectra(cfg: ExperimentConfig, names: list[str], grid) -> list:
-    spectra = []
-    temperature = cfg.env.temperature
-    for name in names:
-        if name == "suspension":
-            modes = suspension_modes(cfg.model, n_violin=cfg.violin_mode_count)
-            spectra.append(
-                budget_mod.suspension_thermal_asd(modes, temperature, grid)
-            )
-        elif name == "mirror":
-            spectra.append(
-                budget_mod.mirror_thermal_asd(
-                    cfg.test_mass,
-                    cfg.material.young_modulus,
-                    cfg.material.poisson_ratio,
-                    temperature,
-                    grid,
-                )
-            )
-        elif name == "quantum":
-            spectra.append(
-                budget_mod.quantum_noise_asd(cfg.cavity, cfg.test_mass.mass, grid)
-            )
-        else:
-            raise ConfigError(
-                f"unknown budget component {name!r}; choose from "
-                f"{', '.join(COMPONENT_NAMES)}"
-            )
-    return spectra
-
-
-def _thermal_band(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    grid = cfg.grid()
-    components = _component_spectra(cfg, ["suspension", "mirror"], grid)
-    bud = budget_mod.total_budget(components, cfg.test_mass.mass, grid)
-    return budget_mod.sub_sql_band(bud, "thermal-only")
-
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
@@ -113,7 +72,9 @@ def cmd_budget(args) -> int:
             names.append("quantum")
     else:
         names = [n.strip() for n in args.components.split(",") if n.strip()]
-    components = _component_spectra(cfg, names, grid)
+    components = budget_mod.model_components(
+        cfg.model, names, grid, cfg.violin_mode_count, cavity=cfg.cavity
+    )
     if components:
         bud = budget_mod.total_budget(components, cfg.test_mass.mass, grid)
         spectra = [*bud.components, bud.total, bud.sql]
@@ -182,7 +143,7 @@ def _read_overlay(path: str) -> list[Point]:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config, args.set)
-    band = _thermal_band(cfg)
+    band = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid(), cfg.violin_mode_count)
     report = effective_requirements(
         cfg.model, cfg.cavity, cfg.env.temperature, sub_sql=band
     )
@@ -276,18 +237,19 @@ def _metric_eq2_edge(cfg: ExperimentConfig) -> float:
     )
 
 
-def _widest_band(bands) -> tuple[float, float]:
+def _widest_sub_sql_band(cfg: ExperimentConfig) -> tuple[float, float]:
+    bands = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid(), cfg.violin_mode_count)
     if not bands:
         return (math.nan, math.nan)
     return max(bands, key=lambda b: b[1] / b[0])
 
 
 def _metric_sub_sql_lo(cfg: ExperimentConfig) -> float:
-    return _widest_band(_thermal_band(cfg))[0]
+    return _widest_sub_sql_band(cfg)[0]
 
 
 def _metric_sub_sql_hi(cfg: ExperimentConfig) -> float:
-    return _widest_band(_thermal_band(cfg))[1]
+    return _widest_sub_sql_band(cfg)[1]
 
 
 def _metric_f_violin1(cfg: ExperimentConfig) -> float:
@@ -329,7 +291,7 @@ def cmd_sweep(args) -> int:
         raw = json.loads(json.dumps(base))  # deep copy without sharing
         set_numeric(raw, args.param, float(v))
         result = metric(build_config(raw))
-        lines.append(f"{v:.8e},{result:.8e}")
+        lines.append(f"{_CSV_FLOAT % v},{_CSV_FLOAT % result}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -340,12 +302,6 @@ def cmd_sweep(args) -> int:
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="YAML config; defaults to the built-in preset")
-    p.add_argument(
-        "--preset",
-        choices=["paper"],
-        default="paper",
-        help="base parameter set underlying --config and --set (only one exists)",
-    )
     p.add_argument(
         "--set",
         action="append",

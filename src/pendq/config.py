@@ -3,85 +3,41 @@
 The built-in preset describes the reference experiment this package
 models: a 7 mg fused-silica disk on a 5 cm x 1 um-diameter silica
 fiber read out by a finesse-5000 cavity.  User configs override any
-subset of keys; unknown keys are rejected with their location.
+subset of keys; unknown keys are rejected with their location.  The
+preset doubles as the schema: each key's kind follows its preset value.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 import yaml
 
 from .cavity import Cavity
-from .core import ConfigError, DomainError, Environment, Fiber, Material, TestMass
+from .core import (
+    FUSED_SILICA,
+    ConfigError,
+    DomainError,
+    Environment,
+    Fiber,
+    Material,
+    TestMass,
+)
 from .suspension import PendulumModel
 
-_NUM = "number"
-_INT = "integer"
-_STR = "string"
-_OPT_NUM = "number-or-null"
 
-SCHEMA: dict[str, dict[str, Any]] = {
-    "material": {
-        "name": _STR,
-        "young_modulus": _NUM,
-        "shear_modulus": _NUM,
-        "density": _NUM,
-        "poisson_ratio": _NUM,
-        "bulk_loss_angle": _NUM,
-        "surface_q_reference": {"q": _NUM, "radius": _NUM},
-        "measured_q": _OPT_NUM,
-        "thermal_expansion": _NUM,
-        "specific_heat": _NUM,
-        "thermal_conductivity": _NUM,
-    },
-    "fiber": {"length": _NUM, "radius": _NUM},
-    "test_mass": {
-        "mass": _NUM,
-        "disk_radius": _NUM,
-        "thickness": _NUM,
-        "substrate_loss_angle": _NUM,
-        "coating_loss_angle": _NUM,
-        "coating_thickness": _NUM,
-        "beam_radius": _NUM,
-        "attachment_offset": _OPT_NUM,
-    },
-    "environment": {
-        "temperature": _NUM,
-        "pressure": _NUM,
-        "gas_molecular_mass": _NUM,
-    },
-    "cavity": {
-        "round_trip_length": _NUM,
-        "finesse": _NUM,
-        "wavelength": _NUM,
-        "probe_power": _NUM,
-        "trap_power": _NUM,
-        "trap_detuning_in_kappa": _NUM,
-        "coupling_efficiency": _NUM,
-    },
-    "grid": {"f_min": _NUM, "f_max": _NUM, "points": _INT},
-    "ringdown": {"f0": _NUM, "bandwidth": _NUM, "bin_seconds": _NUM},
-    "suspension": {"measured_pendulum_q": _NUM, "violin_modes": _INT},
-}
+def _material_section(material: Material, measured_q: float) -> dict[str, Any]:
+    section = asdict(replace(material, measured_q=measured_q))
+    q, radius = material.surface_q_reference
+    section["surface_q_reference"] = {"q": q, "radius": radius}
+    return section
+
 
 PAPER_PRESET: dict[str, Any] = {
-    "material": {
-        "name": "fused silica",
-        "young_modulus": 72.0e9,
-        "shear_modulus": 31.0e9,
-        "density": 2200.0,
-        "poisson_ratio": 0.17,
-        "bulk_loss_angle": 3.3e-5,
-        "surface_q_reference": {"q": 2.0e4, "radius": 0.5e-6},
-        "measured_q": 1.2e4,
-        "thermal_expansion": 5.5e-7,
-        "specific_heat": 740.0,
-        "thermal_conductivity": 1.38,
-    },
+    "material": _material_section(FUSED_SILICA, measured_q=1.2e4),
     "fiber": {"length": 0.05, "radius": 0.5e-6},
     "test_mass": {
         "mass": 7.0e-6,
@@ -110,6 +66,33 @@ PAPER_PRESET: dict[str, Any] = {
     "grid": {"f_min": 10.0, "f_max": 1.0e4, "points": 2000},
     "ringdown": {"f0": 2.2, "bandwidth": 0.5, "bin_seconds": 20.0},
     "suspension": {"measured_pendulum_q": 2.0e6, "violin_modes": 2},
+}
+
+_NUM = "number"
+_INT = "integer"
+_STR = "string"
+_OPT_NUM = "number-or-null"
+
+# numbers that may be set to null; a None preset value is one as well
+_NULLABLE = ("material.measured_q",)
+
+
+def _schema_of(section: dict[str, Any], prefix: str) -> dict[str, Any]:
+    """Schema kinds from preset values: the preset is the schema."""
+    schema: dict[str, Any] = {}
+    for key, value in section.items():
+        path = f"{prefix}.{key}"
+        if isinstance(value, dict):
+            schema[key] = _schema_of(value, path)
+        elif value is None or path in _NULLABLE:
+            schema[key] = _OPT_NUM
+        else:
+            schema[key] = {str: _STR, int: _INT, float: _NUM}[type(value)]
+    return schema
+
+
+SCHEMA: dict[str, dict[str, Any]] = {
+    name: _schema_of(section, name) for name, section in PAPER_PRESET.items()
 }
 
 
@@ -256,55 +239,15 @@ class ExperimentConfig:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Construct the typed model objects from a merged raw mapping."""
-    m = raw["material"]
+    material = dict(raw["material"])
+    q_ref = material["surface_q_reference"]
+    material["surface_q_reference"] = (q_ref["q"], q_ref["radius"])
     try:
-        material = Material(
-            name=m["name"],
-            young_modulus=m["young_modulus"],
-            shear_modulus=m["shear_modulus"],
-            density=m["density"],
-            poisson_ratio=m["poisson_ratio"],
-            bulk_loss_angle=m["bulk_loss_angle"],
-            surface_q_reference=(
-                m["surface_q_reference"]["q"],
-                m["surface_q_reference"]["radius"],
-            ),
-            measured_q=m["measured_q"],
-            thermal_expansion=m["thermal_expansion"],
-            specific_heat=m["specific_heat"],
-            thermal_conductivity=m["thermal_conductivity"],
-        )
-        fiber = Fiber(
-            length=raw["fiber"]["length"],
-            radius=raw["fiber"]["radius"],
-            material=material,
-        )
-        tm = raw["test_mass"]
-        test_mass = TestMass(
-            mass=tm["mass"],
-            disk_radius=tm["disk_radius"],
-            thickness=tm["thickness"],
-            substrate_loss_angle=tm["substrate_loss_angle"],
-            coating_loss_angle=tm["coating_loss_angle"],
-            coating_thickness=tm["coating_thickness"],
-            beam_radius=tm["beam_radius"],
-            attachment_offset=tm["attachment_offset"],
-        )
-        env = Environment(
-            temperature=raw["environment"]["temperature"],
-            pressure=raw["environment"]["pressure"],
-            gas_molecular_mass=raw["environment"]["gas_molecular_mass"],
-        )
-        c = raw["cavity"]
-        cavity = Cavity(
-            round_trip_length=c["round_trip_length"],
-            finesse=c["finesse"],
-            wavelength=c["wavelength"],
-            probe_power=c["probe_power"],
-            trap_power=c["trap_power"],
-            trap_detuning_in_kappa=c["trap_detuning_in_kappa"],
-            coupling_efficiency=c["coupling_efficiency"],
-        )
+        material = Material(**material)
+        fiber = Fiber(**raw["fiber"], material=material)
+        test_mass = TestMass(**raw["test_mass"])
+        env = Environment(**raw["environment"])
+        cavity = Cavity(**raw["cavity"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     g, r, s = raw["grid"], raw["ringdown"], raw["suspension"]

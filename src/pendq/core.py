@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+# number format of every CSV cell and of every float rounded for JSON:
+# 9 significant digits, "." decimal, locale-independent
+_CSV_FLOAT = "%.8e"
 
 class DomainError(ValueError):
     """Input outside the physical domain of an operation."""

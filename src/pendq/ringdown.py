@@ -27,6 +27,7 @@ from .core import (
     FitError,
     InsufficientDataError,
     ShapeError,
+    _CSV_FLOAT,
     _require_finite,
     _require_positive,
 )
@@ -438,7 +439,6 @@ def measure_q(
 # ---------------------------------------------------------------------------
 
 TRACE_HEADER = "time_s,value"
-_CSV_FLOAT = "%.8e"
 
 
 def trace_to_csv(trace: RingdownTrace) -> str:

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pendq import CONST, DomainError, ShapeError, TestMass
+from pendq import CONST, ConfigError, DomainError, ShapeError, TestMass
 from pendq import budget as bud
 from pendq import cavity as cav
 from pendq import suspension as susp
@@ -292,6 +292,27 @@ def test_sub_sql_band_preset():
     for (lo, hi), (lo_ref, hi_ref) in zip(bands, BANDS):
         assert math.isclose(lo, lo_ref, rel_tol=1e-9)
         assert math.isclose(hi, hi_ref, rel_tol=1e-9)
+
+
+def test_thermal_sub_sql_band_matches_hand_built_budget():
+    budget = bud.total_budget(_preset_components(), CONFIG.test_mass.mass, GRID)
+    assert bud.thermal_sub_sql_band(MODEL, GRID, n_violin=2) == bud.sub_sql_band(budget)
+
+
+def test_model_components_order_and_errors():
+    names = ["quantum", "suspension", "mirror"]
+    spectra = bud.model_components(MODEL, names, GRID, 2, cavity=CONFIG.cavity)
+    assert [s.label for s in spectra] == [
+        "quantum noise",
+        "suspension thermal",
+        "mirror thermal",
+    ]
+    for spec, ref in zip(spectra[1:], _preset_components()):
+        assert np.array_equal(spec.asd, ref.asd)
+    with pytest.raises(ConfigError, match="unknown budget component 'seismic'"):
+        bud.model_components(MODEL, ["seismic"], GRID, 2)
+    with pytest.raises(DomainError, match="cavity"):
+        bud.model_components(MODEL, ["quantum"], GRID, 2)
 
 
 def test_sub_sql_band_crossings_match_analytic_roots():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pendq import DomainError
+from pendq import budget as bud
 from pendq import cavity as cav
 from pendq.config import load_config
 
@@ -276,6 +277,12 @@ def test_effective_requirements_preset():
     # overlap starts where the measurement-rate band begins
     assert math.isclose(report.band_overlap_hz[0][0], EDGE_HZ, rel_tol=1e-12)
     assert report.band_overlap_hz[0][1] == report.sub_sql_band_hz[0][1]
+
+
+def test_effective_requirements_default_band_is_default_grid_two_violins():
+    report = cav.effective_requirements(MODEL, CAVITY)
+    band = bud.thermal_sub_sql_band(MODEL, bud.log_grid(), n_violin=2)
+    assert report.sub_sql_band_hz == tuple(band)
 
 
 def test_effective_requirements_margin_halves_with_temperature():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pendq import cli
+from pendq import budget, cli
+from pendq.config import load_config
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 
@@ -277,3 +278,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "overall:     pass" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["grid.f_min=100"],
+        ["suspension.violin_modes=6", "grid.f_max=1e5"],
+    ],
+)
+def test_check_reports_the_shared_sub_sql_band(overrides, capsys):
+    argv = ["check"]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    cli.main(argv)
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    config = load_config(None, overrides)
+    band = budget.thermal_sub_sql_band(
+        config.model, config.grid(), config.violin_mode_count
+    )
+    assert payload["sub_sql_band_hz"] == [list(b) for b in band]

@@ -1,11 +1,20 @@
 """Configuration schema, merging, overrides, and typed assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pendq import ConfigError
+from pendq import (
+    FUSED_SILICA,
+    Cavity,
+    ConfigError,
+    Environment,
+    Fiber,
+    Material,
+    TestMass,
+)
 from pendq import config as cfg
 
 
@@ -185,3 +194,34 @@ def test_experiment_config_frozen():
     config = cfg.load_config()
     with pytest.raises(AttributeError):
         config.grid_points = 5
+
+
+@pytest.mark.parametrize(
+    "section, cls, not_in_yaml",
+    [
+        ("material", Material, set()),
+        ("fiber", Fiber, {"material"}),              # the material section
+        ("test_mass", TestMass, {"density"}),        # mass-check aid, API only
+        ("environment", Environment, set()),
+        ("cavity", Cavity, set()),
+    ],
+)
+def test_yaml_sections_match_dataclass_fields(section, cls, not_in_yaml):
+    init_fields = {f.name for f in dataclasses.fields(cls) if f.init}
+    assert set(cfg.PAPER_PRESET[section]) == init_fields - not_in_yaml
+
+
+def test_nullable_fields():
+    raw = cfg.paper_preset()
+    cfg.apply_override(raw, "test_mass.attachment_offset=null")
+    cfg.apply_override(raw, "material.measured_q=null")
+    config = cfg.build_config(raw)
+    assert config.material.measured_q is None
+    assert config.test_mass.attachment_offset == config.test_mass.disk_radius
+    with pytest.raises(ConfigError, match="expected a number"):
+        cfg.apply_override(raw, "fiber.radius=null")
+
+
+def test_preset_material_is_fused_silica():
+    config = cfg.load_config()
+    assert config.material == dataclasses.replace(FUSED_SILICA, measured_q=1.2e4)
