@@ -197,6 +197,16 @@ def cmd_ringdown_synth(args) -> int:
     return EXIT_OK
 
 
+def _read_trace(path: str) -> ringdown_mod.RingdownTrace:
+    # the text goes out of scope here, so it is freed before the fit runs
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({exc})") from exc
+    return ringdown_mod.trace_from_csv(text)
+
+
 def cmd_ringdown_fit(args) -> int:
     cfg = load_config(args.config, args.set)
     f0 = args.f0 if args.f0 is not None else cfg.ringdown_f0
@@ -204,10 +214,7 @@ def cmd_ringdown_fit(args) -> int:
     bin_seconds = (
         args.bin_seconds if args.bin_seconds is not None else cfg.ringdown_bin_seconds
     )
-    traces = []
-    for path in args.traces:
-        with open(path, "r", encoding="utf-8") as fh:
-            traces.append(ringdown_mod.trace_from_csv(fh.read()))
+    traces = [_read_trace(path) for path in args.traces]
     fit = ringdown_mod.measure_q(
         traces,
         f0=f0,

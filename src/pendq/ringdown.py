@@ -14,8 +14,10 @@ to the slow uHz-scale frequency wander real oscillators show.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,26 +270,24 @@ def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
             f"bin_seconds = {bin_seconds} s must exceed a few envelope samples "
             f"(sample step {dt:.3g} s)"
         )
-    t0 = times[0]
-    idx = np.floor((times - t0) / bin_seconds).astype(int)
-    centers, means, sems, counts = [], [], [], []
-    for k in range(int(idx.max()) + 1):
-        sel = idx == k
-        n = int(sel.sum())
-        if n < 2:
-            continue
-        vals = amplitudes[sel]
-        centers.append(float(times[sel].mean()))
-        means.append(float(vals.mean()))
-        sems.append(float(vals.std(ddof=1) / math.sqrt(n)))
-        counts.append(n)
-    if not centers:
+    idx = np.floor((times - times[0]) / bin_seconds).astype(int)
+    if idx.min() < 0:  # samples before times[0] belong to no bin
+        valid = idx >= 0
+        times, amplitudes, idx = times[valid], amplitudes[valid], idx[valid]
+    counts = np.bincount(idx)
+    keep = counts >= 2
+    if not keep.any():
         raise InsufficientDataError("all bins dropped (fewer than 2 samples each)")
+    # empty bins drop below; dividing them by 1 keeps 0/0 out
+    means = np.bincount(idx, weights=amplitudes) / np.maximum(counts, 1)
+    # two-pass variance: squared deviations from each bin's own mean
+    squares = np.bincount(idx, weights=(amplitudes - means[idx]) ** 2)
+    counts = counts[keep]
     return BinnedEnvelope(
-        bin_centers=np.array(centers),
-        means=np.array(means),
-        standard_errors=np.array(sems),
-        counts=np.array(counts),
+        bin_centers=np.bincount(idx, weights=times)[keep] / counts,
+        means=means[keep],
+        standard_errors=np.sqrt(squares[keep] / (counts - 1)) / np.sqrt(counts),
+        counts=counts,
     )
 
 
@@ -440,35 +440,154 @@ def measure_q(
 
 TRACE_HEADER = "time_s,value"
 
+# rows per formatting chunk and characters per parsing slice: large
+# enough that numpy's per-call overhead vanishes, small enough that the
+# temporaries stay a few MB on day-long records
+_CSV_CHUNK_ROWS = 1 << 16
+_CSV_SLICE_CHARS = 1 << 20
+
+# exact float64 powers of ten: 10^k is representable for k <= 22
+_POW10 = np.array([float(10**k) for k in range(23)])
+# ASCII "0000".."9999" and "e-99".."e+99" as 4-byte cells
+_DIGIT_QUADS = np.frombuffer(
+    "".join(f"{k:04d}" for k in range(10_000)).encode("ascii"), dtype="V4"
+)
+_EXPONENTS = np.frombuffer(
+    "".join(f"e{k:+03d}" for k in range(-99, 100)).encode("ascii"), dtype="V4"
+)
+# widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
+_CSV_FLOAT_WIDTH = 16
+
+
+def _csv_float_bytes(values: np.ndarray) -> np.ndarray:
+    """Cells of _CSV_FLOAT % v as ASCII rows, NUL padded to _CSV_FLOAT_WIDTH.
+
+    With e = floor(log10|v|), the 9 significant digits are rint(m) for
+    m = |v| 10^(8-e), computed with one exact power of ten so m is
+    rounded once (to within 6e-8 of the true scaled value, since
+    m < 2^30).  Cells this cannot get right fall back to Python's
+    formatting: near-ties of the last digit (rint may round the other
+    way than the exact decimal expansion), a log10 off by one (rint(m)
+    outside [1e8, 1e9)), zero, non-finite values, 3-digit exponents and
+    scales beyond the exact powers.
+    """
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero and non-finite fall back
+        e = np.floor(np.log10(a))
+        ok = np.isfinite(e) & (np.abs(e) < 100) & (np.abs(8 - e) <= 22)
+        k = np.where(ok, 8 - e, 0).astype(np.intp)
+        scale = _POW10[np.abs(k)]
+        m = np.divide(a, scale, where=k < 0, out=np.multiply(a, scale))
+        digits = np.rint(m)
+        ok &= (digits >= 1e8) & (digits < 1e9) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
+    d = np.where(ok, digits, 1e8).astype(np.int32)
+    e = np.where(ok, e, 0).astype(np.int32)
+    lead, rest = np.divmod(d, 100_000_000)
+    high, low = np.divmod(rest, 10_000)
+    cells = np.zeros((x.size, _CSV_FLOAT_WIDTH), dtype=np.uint8)
+    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    quads = ((3, _DIGIT_QUADS, high), (7, _DIGIT_QUADS, low), (11, _EXPONENTS, e + 99))
+    for col, table, index in quads:
+        cells[:, col : col + 4].view("V4")[:, 0] = table[index]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        exact = [(_CSV_FLOAT % v).encode("ascii") for v in x[bad].tolist()]
+        cells[bad] = np.array(exact, dtype=f"S{_CSV_FLOAT_WIDTH}").view(np.uint8).reshape(
+            bad.size, _CSV_FLOAT_WIDTH
+        )
+    return cells
+
 
 def trace_to_csv(trace: RingdownTrace) -> str:
-    lines = [TRACE_HEADER]
-    for t, v in zip(trace.times, trace.samples):
-        lines.append(f"{_CSV_FLOAT % t},{_CSV_FLOAT % v}")
-    return "\n".join(lines) + "\n"
+    """time_s,value CSV of the trace, every cell written as _CSV_FLOAT."""
+    width = _CSV_FLOAT_WIDTH
+    parts = [TRACE_HEADER + "\n"]
+    for lo in range(0, trace.samples.size, _CSV_CHUNK_ROWS):
+        values = trace.samples[lo : lo + _CSV_CHUNK_ROWS]
+        # the same expression as trace.times, evaluated for this chunk only
+        times = trace.start_time + np.arange(lo, lo + values.size) / trace.sample_rate
+        rows = np.empty((values.size, 2 * width + 2), dtype=np.uint8)
+        rows[:, :width] = _csv_float_bytes(times)
+        rows[:, width] = ord(",")
+        rows[:, width + 1 : 2 * width + 1] = _csv_float_bytes(values)
+        rows[:, -1] = ord("\n")
+        flat = rows.ravel()
+        parts.append(flat[flat != 0].tobytes().decode("ascii"))
+    return "".join(parts)
+
+
+# ASCII line ends of str.splitlines() that np.loadtxt reads as field text
+_OTHER_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _parse_rows(text: str) -> np.ndarray:
+    """(rows, columns) floats of a run of whole CSV lines; blank lines skip.
+
+    np.loadtxt reads each field with the same correctly rounded parser
+    as float(), so values are bit-identical to float() per field.  Text
+    it may split differently from str.splitlines() (non-ASCII, vertical
+    tab, form feed, ...) and text it rejects (whitespace-only lines, a
+    lone CR, "1_0" digit grouping, malformed rows) take the per-line
+    float() parse, which defines the accepted syntax.
+    """
+    if text.isascii() and not any(c in text for c in _OTHER_LINE_ENDS):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a slice of blank lines
+                rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            return rows if rows.size else np.empty((0, 2))
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines], dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"malformed trace CSV row: {exc}") from exc
+    return rows if lines else np.empty((0, 2))
 
 
 def trace_from_csv(text: str) -> RingdownTrace:
-    """Parse a time_s,value CSV; the time column must be uniform."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != TRACE_HEADER:
+    """Parse a time_s,value CSV; the time column must be uniform.
+
+    The body is parsed in slices of about _CSV_SLICE_CHARS characters,
+    cut after a newline, into one preallocated (rows, 2) array.
+    """
+    text = text.lstrip()
+    newline = text.find("\n")
+    # the header ends at the first line end of any kind str.splitlines() knows
+    head = (text[: newline + 1] if newline >= 0 else text).splitlines(keepends=True)
+    if not head or head[0].strip() != TRACE_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_HEADER!r}")
-    try:
-        rows = np.array(
-            [[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float
-        )
-    except ValueError as exc:
-        raise DomainError(f"malformed trace CSV row: {exc}") from exc
-    if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] < 2:
+    pos = len(head[0])
+    rows = np.empty((text.count("\n", pos) + 1, 2))
+    filled = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CSV_SLICE_CHARS)
+        end = len(text) if end < 0 else end + 1
+        part = _parse_rows(text[pos:end])
+        pos = end
+        if part.shape[0] and part.shape[1] != 2:
+            raise DomainError("trace CSV needs >= 2 rows of time_s,value")
+        if filled + part.shape[0] > rows.shape[0]:  # lines ended by a lone CR
+            rows = np.concatenate([rows[:filled], np.empty((part.shape[0], 2))])
+        rows[filled : filled + part.shape[0]] = part
+        filled += part.shape[0]
+    if filled < 2:
         raise DomainError("trace CSV needs >= 2 rows of time_s,value")
-    t, v = rows[:, 0], rows[:, 1]
+    t = rows[:filled, 0]
     dt = np.diff(t)
     if np.any(dt <= 0.0):
         raise DomainError("trace times must be strictly increasing")
     step = float(np.median(dt))
     if np.any(np.abs(dt - step) > 1e-6 * step):
         raise DomainError("trace times must be uniformly sampled")
-    return RingdownTrace(sample_rate=1.0 / step, samples=v, start_time=float(t[0]))
+    # a contiguous copy, so the (rows, 2) buffer is freed on return
+    samples = np.ascontiguousarray(rows[:filled, 1])
+    return RingdownTrace(sample_rate=1.0 / step, samples=samples, start_time=float(t[0]))
 
 
 def fit_to_json(fit: RingdownFit) -> str:

@@ -208,6 +208,13 @@ def test_ringdown_fit_missing_file(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_ringdown_fit_non_utf8_trace(tmp_path, capsys):
+    bad = tmp_path / "utf16.csv"
+    bad.write_bytes(b"\xff\xfe" + "time_s,value\n0,1\n".encode("utf-16-le"))
+    assert cli.main(["ringdown", "fit", str(bad)]) == 4
+    assert "malformed trace CSV" in capsys.readouterr().err
+
+
 def test_sweep_q_ideal_scaling(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(

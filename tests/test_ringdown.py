@@ -149,6 +149,43 @@ def test_bin_average_validation():
         rd.bin_average(np.arange(10.0), np.ones(10), 1.5)  # bin <= 2 dt
 
 
+def _loop_bin_average(times, amplitudes, bin_seconds):
+    """Per-bin loop reference: (centers, means, sems, counts) of bins with >= 2 samples."""
+    idx = np.floor((times - times[0]) / bin_seconds).astype(int)
+    rows = []
+    for k in range(int(idx.max()) + 1):
+        sel = idx == k
+        n = int(sel.sum())
+        if n >= 2:
+            vals = amplitudes[sel]
+            rows.append((times[sel].mean(), vals.mean(), vals.std(ddof=1) / math.sqrt(n), n))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bin_average_matches_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    # clustered times leave empty and 1-sample bins between busy ones
+    times = np.sort(np.concatenate([
+        rng.uniform(0.0, 400.0, 300),
+        rng.uniform(400.0, 1000.0, 12),
+        500.0 + 7.0 * np.arange(5),
+    ]))
+    amps = rng.lognormal(0.0, 0.3, times.size)
+    if seed % 2:  # a mid-record sample first: samples before times[0] belong to no bin
+        first = times.size // 5
+        order = np.concatenate([[first], np.delete(np.arange(times.size), first)])
+        times, amps = times[order], amps[order]
+    bin_seconds = rng.uniform(7.0, 40.0)
+    binned = rd.bin_average(times, amps, bin_seconds)
+    centers, means, sems, counts = _loop_bin_average(times, amps, bin_seconds)
+    assert np.array_equal(binned.counts, counts)
+    # bincount sums in another order than numpy's pairwise mean: a few ulps
+    assert np.allclose(binned.bin_centers, centers, rtol=1e-13, atol=0.0)
+    assert np.allclose(binned.means, means, rtol=1e-13, atol=0.0)
+    assert np.allclose(binned.standard_errors, sems, rtol=1e-11, atol=0.0)
+
+
 def test_binned_envelope_validation():
     with pytest.raises(DomainError):
         rd.BinnedEnvelope(
