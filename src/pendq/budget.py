@@ -137,7 +137,6 @@ def suspension_thermal_asd(
     modes: list[Mode],
     temperature: float,
     grid_hz,
-    label: str = "suspension thermal",
 ) -> NoiseSpectrum:
     """FDT displacement noise of structurally damped suspension modes.
 
@@ -163,7 +162,7 @@ def suspension_thermal_asd(
             * (w_n**2 * phi)
             / (m_n * ((w_n**2 - omega**2) ** 2 + w_n**4 * phi**2))
         )
-    return NoiseSpectrum(grid, np.sqrt(s_x), label)
+    return NoiseSpectrum(grid, np.sqrt(s_x), "suspension thermal")
 
 
 def mirror_thermal_asd(
@@ -172,7 +171,6 @@ def mirror_thermal_asd(
     poisson_ratio: float,
     temperature: float,
     grid_hz,
-    label: str = "mirror thermal",
 ) -> NoiseSpectrum:
     """Substrate + coating Brownian noise of the readout face.
 
@@ -208,23 +206,18 @@ def mirror_thermal_asd(
         * (test_mass.coating_loss_angle / phi_sub)
         * (test_mass.coating_thickness / w)
     )
-    return NoiseSpectrum(grid, np.sqrt(s_sub * coating_factor), label)
+    return NoiseSpectrum(grid, np.sqrt(s_sub * coating_factor), "mirror thermal")
 
 
-def sql_asd(mass: float, grid_hz, label: str = "SQL") -> NoiseSpectrum:
+def sql_asd(mass: float, grid_hz) -> NoiseSpectrum:
     """Free-mass standard quantum limit sqrt(2 hbar / m) / omega."""
     _require_positive("mass", mass)
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
-    return NoiseSpectrum(grid, math.sqrt(2.0 * CONST.hbar / mass) / omega, label)
+    return NoiseSpectrum(grid, math.sqrt(2.0 * CONST.hbar / mass) / omega, "SQL")
 
 
-def quantum_noise_asd(
-    cavity: Cavity,
-    mass: float,
-    grid_hz,
-    label: str = "quantum noise",
-) -> NoiseSpectrum:
+def quantum_noise_asd(cavity: Cavity, mass: float, grid_hz) -> NoiseSpectrum:
     """Probe shot noise plus radiation-pressure back-action, quadrature summed.
 
     For omega well below the cavity linewidth the back-action force
@@ -245,7 +238,7 @@ def quantum_noise_asd(
     s_f = radiation_pressure_force_psd(cavity)
     s_shot = CONST.hbar**2 / s_f
     s_rp = s_f / (mass**2 * omega**4)
-    return NoiseSpectrum(grid, np.sqrt(s_shot + s_rp), label)
+    return NoiseSpectrum(grid, np.sqrt(s_shot + s_rp), "quantum noise")
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +312,15 @@ def model_components(
     grid_hz,
     n_violin: int,
     cavity: Cavity | None = None,
-    temperature: float | None = None,
 ) -> list[NoiseSpectrum]:
     """The named components of one pendulum model's budget, in order.
 
     names are drawn from COMPONENT_NAMES: "suspension" (pendulum, pitch
     and the first n_violin violin modes), "mirror" (substrate + coating
     of the fiber material) and "quantum" (needs the readout cavity).
-    temperature defaults to the model's environment.
+    The thermal components take the temperature of model.env.
     """
-    if temperature is None:
-        temperature = model.env.temperature
+    temperature = model.env.temperature
     material = model.fiber.material
     spectra = []
     for name in names:
@@ -359,15 +350,10 @@ def model_components(
 
 
 def thermal_sub_sql_band(
-    model: PendulumModel,
-    grid_hz,
-    n_violin: int,
-    temperature: float | None = None,
+    model: PendulumModel, grid_hz, n_violin: int
 ) -> list[tuple[float, float]]:
     """Sub-SQL band [Hz] of the model's suspension + mirror thermal noise."""
-    components = model_components(
-        model, ("suspension", "mirror"), grid_hz, n_violin, temperature=temperature
-    )
+    components = model_components(model, ("suspension", "mirror"), grid_hz, n_violin)
     return sub_sql_band(total_budget(components, model.test_mass.mass, grid_hz))
 
 

@@ -272,31 +272,22 @@ class RequirementReport:
 def effective_requirements(
     model: PendulumModel,
     cavity: Cavity,
-    temperature: float | None = None,
-    sub_sql: list[tuple[float, float]] | None = None,
+    sub_sql: list[tuple[float, float]],
 ) -> RequirementReport:
     """Evaluate both requirements for the trapped pendulum.
 
     The Qf product uses (omega_eff, Q_eff); the measurement-rate band
     edge uses the bare (omega_m, Q_m) and is the same closed form the
-    suspension module exposes.  sub_sql, if given, is a precomputed
-    thermal sub-SQL band; otherwise it is budget.thermal_sub_sql_band of
-    the model on the default log_grid() with 2 violin modes, whatever
-    grid and violin count a config names.  The report lists the overlap of
+    suspension module exposes.  Both take the temperature of model.env.
+    sub_sql is the thermal sub-SQL band, e.g. budget.thermal_sub_sql_band
+    of the model on a config's grid.  The report lists the overlap of
     the measurement-rate band with the sub-SQL band: frequencies where
     the oscillator is simultaneously measurable and below the SQL.
     """
-    if temperature is None:
-        temperature = model.env.temperature
+    temperature = model.env.temperature
     eff = effective_oscillator(model, cavity)
     eq1 = qf_requirement(eff.omega_eff, eff.q_eff, temperature)
     edge_hz = measurement_band_edge(eff.omega_m, eff.q_m, temperature)
-    if sub_sql is None:
-        from . import budget  # budget imports this module
-
-        sub_sql = budget.thermal_sub_sql_band(
-            model, budget.log_grid(), n_violin=2, temperature=temperature
-        )
     overlap = tuple(
         (max(lo, edge_hz), hi) for lo, hi in sub_sql if hi > max(lo, edge_hz)
     )

@@ -144,9 +144,7 @@ def _read_overlay(path: str) -> list[Point]:
 def cmd_check(args) -> int:
     cfg = load_config(args.config, args.set)
     band = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid(), cfg.violin_mode_count)
-    report = effective_requirements(
-        cfg.model, cfg.cavity, cfg.env.temperature, sub_sql=band
-    )
+    report = effective_requirements(cfg.model, cfg.cavity, band)
     eff = report.effective
     print(f"pendulum:    f_m = {eff.omega_m / (2 * math.pi):.4g} Hz, Q_m = {eff.q_m:.3g}")
     print(
@@ -401,6 +399,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (DomainError, ShapeError, FitError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    except ArithmeticError as exc:  # overflow or division by zero at extreme inputs
+        print(f"analysis error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from .budget import log_grid
 from .cavity import Cavity
 from .core import (
     FUSED_SILICA,
@@ -119,7 +120,7 @@ def _check_leaf(location: str, kind: str, value: Any) -> Any:
     if kind == _INT:
         if isinstance(value, bool):
             raise ConfigError(f"{location}: expected an integer, got {value!r}")
-        if isinstance(value, float) and value != int(value):
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{location}: expected an integer, got {value!r}")
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{location}: expected an integer, got {value!r}")
@@ -207,7 +208,6 @@ def get_numeric(raw: dict, path: str) -> float:
 class ExperimentConfig:
     """Validated configuration with the physics objects built from it."""
 
-    raw: dict
     material: Material
     fiber: Fiber
     test_mass: TestMass
@@ -232,8 +232,6 @@ class ExperimentConfig:
         )
 
     def grid(self) -> np.ndarray:
-        from .budget import log_grid
-
         return log_grid(self.grid_f_min, self.grid_f_max, self.grid_points)
 
 
@@ -265,7 +263,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         if not r[key] > 0:
             raise ConfigError(f"ringdown.{key}: need > 0, got {r[key]}")
     return ExperimentConfig(
-        raw=raw,
         material=material,
         fiber=fiber,
         test_mass=test_mass,

@@ -138,9 +138,8 @@ def synthesize_ringdown(
     noise_rms: float = 0.0,
     seed: int = 0,
     drift_uhz: float | None = None,
-    phase: float = 0.0,
 ) -> RingdownTrace:
-    """Decaying tone A e^(-t/tau) cos(2 pi integral(f dt) + phase) + white noise.
+    """Decaying tone A e^(-t/tau) cos(2 pi integral(f dt)) + white noise.
 
     tau = Q/(pi f0); q = inf gives a constant envelope.  drift_uhz, if
     set, makes the instantaneous frequency wander slowly (correlation
@@ -167,7 +166,7 @@ def synthesize_ringdown(
     t = np.arange(n) / sample_rate
     tau = q / (math.pi * f0)  # inf for q = inf
     rng = np.random.default_rng(seed)
-    phi = 2.0 * math.pi * f0 * t + phase
+    phi = 2.0 * math.pi * f0 * t
     if drift_uhz is not None and drift_uhz > 0.0:
         white = rng.standard_normal(n)
         window = max(3, int(round(20.0 * sample_rate)))

@@ -39,7 +39,7 @@ GAS_DRAG_COEFFICIENT = 1.0 + math.pi / 4.0
 
 # Fraction of the pendulum dilution factor credited to higher-order wire
 # modes (violin, pitch): those modes bend the wire at both anchors, so
-# they keep half the pendulum-mode dilution.  Configurable per call.
+# they keep half the pendulum-mode dilution.  violin_modes can take another.
 DEFAULT_MODE_DILUTION_FRACTION = 0.5
 
 
@@ -407,13 +407,12 @@ def measurement_band_edge_spectrum(
 # Mode assembly for the noise budget
 # ---------------------------------------------------------------------------
 
-def pendulum_mode(model: PendulumModel, q_mat: float | None = None) -> Mode:
+def pendulum_mode(model: PendulumModel) -> Mode:
     """The pendulum mode with the measured Q if present, else the ideal diluted Q."""
     if model.measured_pendulum_q is not None:
         q = model.measured_pendulum_q
     else:
-        if q_mat is None:
-            q_mat = material_q(model.fiber, model.env)
+        q_mat = material_q(model.fiber, model.env)
         q = diluted_pendulum_q(model.fiber, model.test_mass.mass, q_mat)
     return Mode(
         kind=ModeKind.PENDULUM,
@@ -423,21 +422,16 @@ def pendulum_mode(model: PendulumModel, q_mat: float | None = None) -> Mode:
     )
 
 
-def pitch_mode(
-    model: PendulumModel,
-    q_mat: float | None = None,
-    dilution_fraction: float = DEFAULT_MODE_DILUTION_FRACTION,
-) -> Mode:
+def pitch_mode(model: PendulumModel) -> Mode:
     """The pitching mode of the rim-hung disk.
 
     Readout coupling through the lever arm b gives effective mass
     I_pivot / b^2; the quality factor uses the same diluted convention
     as the violin modes (no measured value exists for it).
     """
-    if q_mat is None:
-        q_mat = material_q(model.fiber, model.env)
     tm = model.test_mass
-    q = dilution_fraction * dilution_factor(model.fiber, tm.mass) * q_mat
+    q_mat = material_q(model.fiber, model.env)
+    q = DEFAULT_MODE_DILUTION_FRACTION * dilution_factor(model.fiber, tm.mass) * q_mat
     return Mode(
         kind=ModeKind.PITCH,
         frequency=pitch_frequency(tm),
@@ -446,27 +440,10 @@ def pitch_mode(
     )
 
 
-def suspension_modes(
-    model: PendulumModel,
-    n_violin: int = 2,
-    q_mat: float | None = None,
-    dilution_fraction: float = DEFAULT_MODE_DILUTION_FRACTION,
-) -> list[Mode]:
+def suspension_modes(model: PendulumModel, n_violin: int = 2) -> list[Mode]:
     """Pendulum + pitch + first n_violin violin modes, for the noise budget."""
-    if q_mat is None:
-        q_mat = material_q(model.fiber, model.env)
-    modes = [
-        pendulum_mode(model, q_mat=q_mat),
-        pitch_mode(model, q_mat=q_mat, dilution_fraction=dilution_fraction),
-    ]
+    modes = [pendulum_mode(model), pitch_mode(model)]
     if n_violin >= 1:
-        modes.extend(
-            violin_modes(
-                model.fiber,
-                model.test_mass.mass,
-                n_violin,
-                q_mat=q_mat,
-                dilution_fraction=dilution_fraction,
-            )
-        )
+        q_mat = material_q(model.fiber, model.env)
+        modes.extend(violin_modes(model.fiber, model.test_mass.mass, n_violin, q_mat))
     return modes

@@ -25,6 +25,9 @@ PALETTE = (
     "#555555",
 )
 
+WIDTH, HEIGHT = 880, 560  # [px]
+Y_PEAK_PERCENTILE = 99.5
+
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 
@@ -72,15 +75,12 @@ def render_loglog(
     ylabel: str,
     points: list[Point] | None = None,
     star: Point | None = None,
-    width: int = 880,
-    height: int = 560,
-    y_peak_percentile: float = 99.5,
 ) -> str:
     """Render labeled curves (and optional scatter) on log-log axes.
 
-    The y range tops out at the given per-curve percentile so that
-    narrow resonance needles do not stretch the axis; the x range spans
-    the data exactly, both padded to whole decades.
+    The y range tops out at each curve's Y_PEAK_PERCENTILE percentile so
+    that narrow resonance needles do not stretch the axis; the x range
+    spans the data exactly, both padded to whole decades.
     """
     if not curves and not points and star is None:
         raise DomainError("nothing to plot")
@@ -93,7 +93,7 @@ def render_loglog(
         cleaned.append(Curve(c.label, x, y))
         xs.extend((x.min(), x.max()))
         ys.append(y.min())
-        y_caps.append(float(np.percentile(y, y_peak_percentile)))
+        y_caps.append(float(np.percentile(y, Y_PEAK_PERCENTILE)))
     scatter = list(points or [])
     if star is not None:
         scatter_all = scatter + [star]
@@ -109,7 +109,7 @@ def render_loglog(
     dy_lo, dy_hi = _decade_range(min(ys), max(y_caps))
 
     ml, mr, mt, mb = 80, 30, 50, 60
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def px(x: float) -> float:
         return ml + (math.log10(x) - dx_lo) / (dx_hi - dx_lo) * pw
@@ -119,10 +119,10 @@ def render_loglog(
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="13">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="13">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<clipPath id="plot"><rect x="{ml}" y="{mt}" width="{pw}" height="{ph}"/></clipPath>'
     )
@@ -192,7 +192,7 @@ def render_loglog(
         f"{_escape(title)}</text>"
     )
     out.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 16}" text-anchor="middle">'
+        f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle">'
         f"{_escape(xlabel)}</text>"
     )
     out.append(

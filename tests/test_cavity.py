@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -268,7 +269,8 @@ def test_radiation_pressure_force_psd():
 # ---------------------------------------------------------------------------
 
 def test_effective_requirements_preset():
-    report = cav.effective_requirements(MODEL, CAVITY)
+    band = bud.thermal_sub_sql_band(MODEL, bud.log_grid(), n_violin=2)
+    report = cav.effective_requirements(MODEL, CAVITY, band)
     assert report.passed
     assert math.isclose(report.eq1.lhs, EQ1_LHS, rel_tol=1e-12)
     assert math.isclose(report.eq1.margin, EQ1_MARGIN, rel_tol=1e-12)
@@ -279,15 +281,10 @@ def test_effective_requirements_preset():
     assert report.band_overlap_hz[0][1] == report.sub_sql_band_hz[0][1]
 
 
-def test_effective_requirements_default_band_is_default_grid_two_violins():
-    report = cav.effective_requirements(MODEL, CAVITY)
-    band = bud.thermal_sub_sql_band(MODEL, bud.log_grid(), n_violin=2)
-    assert report.sub_sql_band_hz == tuple(band)
-
-
 def test_effective_requirements_margin_halves_with_temperature():
-    r300 = cav.effective_requirements(MODEL, CAVITY, 300.0)
-    r600 = cav.effective_requirements(MODEL, CAVITY, 600.0)
+    hot = replace(MODEL, env=replace(MODEL.env, temperature=600.0))
+    r300 = cav.effective_requirements(MODEL, CAVITY, sub_sql=[])
+    r600 = cav.effective_requirements(hot, CAVITY, sub_sql=[])
     assert math.isclose(r600.eq1.margin, r300.eq1.margin / 2, rel_tol=1e-9)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from pendq import budget, cli
-from pendq.config import load_config
+from pendq.config import load_config, paper_preset
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 FIRST_ROW = "1.00000000e+01,3.81076576e-14,suspension thermal"
@@ -306,3 +308,52 @@ def test_check_reports_the_shared_sub_sql_band(overrides, capsys):
         config.model, config.grid(), config.violin_mode_count
     )
     assert payload["sub_sql_band_hz"] == [list(b) for b in band]
+
+
+def _numeric_keys():
+    for section, fields in paper_preset().items():
+        for key, value in fields.items():
+            if value is None or isinstance(value, (int, float)):
+                yield f"{section}.{key}"
+
+
+EXTREME_VALUES = ("1e300", "1e-300", "-1e300", "0", "-1", ".inf", ".nan", "1e30", "1e-30")
+# these would allocate a huge grid or build modes without end
+COUNT_KEYS = ("grid.points", "suspension.violin_modes")
+
+
+@pytest.mark.filterwarnings("ignore")  # extreme inputs overflow and warn
+@pytest.mark.parametrize("key", sorted(_numeric_keys()))
+def test_extreme_overrides_exit_cleanly(key, tmp_path, capsys):
+    out = str(tmp_path / "budget.csv")
+    for value in EXTREME_VALUES:
+        if key in COUNT_KEYS and value in ("1e30", "1e300"):
+            continue
+        for argv in (["check"], ["budget", "--out", out]):
+            rc = cli.main([*argv, "--set", f"{key}={value}"])
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2, 4), (argv, key, value, rc)
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["check", "--set", "test_mass.mass=1e300"], 4, "analysis error: OverflowError"),
+        (["budget", "--out", "-", "--set", "cavity.probe_power=1e-300"], 4,
+         "analysis error: ZeroDivisionError"),
+        (["check", "--set", "grid.points=.inf"], 2, "expected an integer"),
+        (["check", "--set", "suspension.violin_modes=.nan"], 2, "expected an integer"),
+    ],
+)
+def test_arithmetic_and_non_finite_count_errors(argv, code, message, capsys):
+    assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+
+
+def test_readme_python_example_runs():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
