@@ -24,7 +24,9 @@ from .core import (
     DomainError,
     ShapeError,
     TestMass,
-    _CSV_FLOAT,
+    _cell_rows,
+    _csv_float_bytes,
+    _json_float_bytes,
     _require_positive,
 )
 from .cavity import Cavity, radiation_pressure_force_psd
@@ -286,20 +288,15 @@ def sub_sql_band(budget: Budget, which: str = "thermal-only") -> list[tuple[floa
         t = (0.0 - r0) / (r1 - r0)
         return math.exp(lf0 + t * (lf1 - lf0))
 
-    bands: list[tuple[float, float]] = []
     n = freqs.size
-    i = 0
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
+    # runs of below: changes of the False-padded mask alternate run
+    # start (first index below) and run end + 1
+    changes = np.flatnonzero(np.diff(np.concatenate(([False], below, [False]))))
+    bands: list[tuple[float, float]] = []
+    for i, j in zip(changes[0::2].tolist(), (changes[1::2] - 1).tolist()):
         f_lo = float(freqs[0]) if i == 0 else crossing(i - 1, i)
         f_hi = float(freqs[-1]) if j == n - 1 else crossing(j, j + 1)
         bands.append((f_lo, f_hi))
-        i = j + 1
     return bands
 
 
@@ -364,24 +361,42 @@ def thermal_sub_sql_band(
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 
 
+def _grid_cells(spectra, cell_bytes):
+    """(spectrum, cells of its frequencies) pairs; a grid shared with the
+    spectrum before is formatted once."""
+    grid = cells = None
+    for spec in spectra:
+        if grid is None or not np.array_equal(spec.frequencies, grid):
+            grid, cells = spec.frequencies, cell_bytes(spec.frequencies)
+        yield spec, cells
+
+
 def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:
     """Long-format CSV, one block per spectrum, deterministic bytes."""
-    lines = [CSV_HEADER]
-    for spec in spectra:
-        for f, a in zip(spec.frequencies, spec.asd):
-            lines.append(f"{_CSV_FLOAT % f},{_CSV_FLOAT % a},{spec.label}")
-    return "\n".join(lines) + "\n"
+    parts = [CSV_HEADER + "\n"]
+    for spec, freq_cells in _grid_cells(spectra, _csv_float_bytes):
+        row = [freq_cells, ",", _csv_float_bytes(spec.asd), f",{spec.label}\n"]
+        parts.append(_cell_rows(row))
+    return "".join(parts)
+
+
+def _json_array(cells: np.ndarray) -> str:
+    # one number per line at the arrays' depth, a comma after all but the last
+    return _cell_rows([" " * 8, cells, ",\n"])[:-2] + "\n"
 
 
 def spectra_to_json(spectra: list[NoiseSpectrum]) -> str:
-    payload = {
-        "spectra": [
-            {
-                "label": spec.label,
-                "frequency_hz": [float(_CSV_FLOAT % v) for v in spec.frequencies],
-                "asd_m_per_sqrthz": [float(_CSV_FLOAT % v) for v in spec.asd],
-            }
-            for spec in spectra
-        ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The spectra as json.dumps(indent=2, sort_keys=True) writes them,
+    each number the float nearest its _CSV_FLOAT cell."""
+    blocks = []
+    for spec, freq_cells in _grid_cells(spectra, _json_float_bytes):
+        blocks.append(
+            '    {\n      "asd_m_per_sqrthz": [\n'
+            + _json_array(_json_float_bytes(spec.asd))
+            + '      ],\n      "frequency_hz": [\n'
+            + _json_array(freq_cells)
+            + f'      ],\n      "label": {json.dumps(spec.label)}\n    }}'
+        )
+    if not blocks:
+        return '{\n  "spectra": []\n}\n'
+    return '{\n  "spectra": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"

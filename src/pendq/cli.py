@@ -13,6 +13,7 @@ error, 3 I/O error, 4 analysis-domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,9 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

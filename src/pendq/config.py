@@ -235,6 +235,12 @@ class ExperimentConfig:
         return log_grid(self.grid_f_min, self.grid_f_max, self.grid_points)
 
 
+# upper bounds on the counts: every spectrum holds grid.points values,
+# and each violin mode adds about 24 us to every sub-SQL band
+MAX_GRID_POINTS = 1_000_000
+MAX_VIOLIN_MODES = 10_000
+
+
 def build_config(raw: dict) -> ExperimentConfig:
     """Construct the typed model objects from a merged raw mapping."""
     material = dict(raw["material"])
@@ -251,10 +257,12 @@ def build_config(raw: dict) -> ExperimentConfig:
     g, r, s = raw["grid"], raw["ringdown"], raw["suspension"]
     if not g["f_min"] > 0 or not g["f_max"] > g["f_min"]:
         raise ConfigError(f"grid: need 0 < f_min < f_max, got [{g['f_min']}, {g['f_max']}]")
-    if g["points"] < 2:
-        raise ConfigError(f"grid.points: need >= 2, got {g['points']}")
-    if s["violin_modes"] < 0:
-        raise ConfigError(f"suspension.violin_modes: need >= 0, got {s['violin_modes']}")
+    if not 2 <= g["points"] <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid.points: need 2..{MAX_GRID_POINTS}, got {g['points']}")
+    if not 0 <= s["violin_modes"] <= MAX_VIOLIN_MODES:
+        raise ConfigError(
+            f"suspension.violin_modes: need 0..{MAX_VIOLIN_MODES}, got {s['violin_modes']}"
+        )
     if not s["measured_pendulum_q"] > 0:
         raise ConfigError(
             f"suspension.measured_pendulum_q: need > 0, got {s['measured_pendulum_q']}"

@@ -1,4 +1,5 @@
-"""Physical constants, materials, and geometry types shared by all modules.
+"""Physical constants, materials, and geometry types shared by all modules,
+and the exact number-cell writers behind every CSV, JSON and SVG output.
 
 Unit conventions used throughout the package:
   * SI units everywhere; spectra and rates are functions of angular
@@ -10,9 +11,12 @@ between threads.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 # number format of every CSV cell and of every float rounded for JSON:
 # 9 significant digits, "." decimal, locale-independent
@@ -258,3 +262,178 @@ def thermal_decoherence_rate(temperature: float) -> float:
     """Thermal decoherence rate k_B T / hbar [rad/s]."""
     _require_positive("temperature", temperature)
     return CONST.k_B * temperature / CONST.hbar
+
+
+# ---------------------------------------------------------------------------
+# Exact number cells for the CSV, JSON and SVG writers
+# ---------------------------------------------------------------------------
+
+# exact float64 powers of ten: 10^k is representable for k <= 22
+_POW10 = np.array([float(10**k) for k in range(23)])
+# ASCII "0000".."9999" and "e-99".."e+99" as 4-byte cells
+_DIGIT_QUADS = np.frombuffer(
+    "".join(f"{k:04d}" for k in range(10_000)).encode("ascii"), dtype="V4"
+)
+_EXPONENTS = np.frombuffer(
+    "".join(f"e{k:+03d}" for k in range(-99, 100)).encode("ascii"), dtype="V4"
+)
+# widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
+_CSV_FLOAT_WIDTH = 16
+# widest JSON number cell: sign, 16 integer digits, ".", 1 digit
+_JSON_FLOAT_WIDTH = 19
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a * 10^k, correctly rounded, for integer |k| <= 22."""
+    scale = _POW10[np.abs(k)]
+    return np.divide(a, scale, where=k < 0, out=np.multiply(a, scale))
+
+
+def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, digits, e): _CSV_FLOAT % x is digits / 10^8 * 10^e where ok.
+
+    With e = floor(log10|x|), the 9 significant digits are rint(m) for
+    m = |x| 10^(8-e).  The scale is one exact power of ten for
+    |8 - e| <= 22 and two beyond, up to 44, so m is rounded at most
+    twice: within 2.3e-7 of the true scaled value, since m < 2^30.  Not
+    ok are the cells this cannot get right: near-ties of the last digit
+    (rint may round the other way than the exact decimal expansion), a
+    log10 off by one (rint(m) outside [1e8, 1e9)), zero, non-finite
+    values, 3-digit exponents and scales beyond 10^44.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero and non-finite are not ok
+        e = np.floor(np.log10(a))
+        ok = np.isfinite(e) & (np.abs(e) < 100) & (np.abs(8 - e) <= 44)
+        k = np.where(ok, 8 - e, 0).astype(np.intp)
+        first = np.clip(k, -22, 22)
+        m = _times_pow10(a, first)
+        far = np.flatnonzero(k != first)
+        m[far] = _times_pow10(m[far], k[far] - first[far])
+        digits = np.rint(m)
+        ok &= (digits >= 1e8) & (digits < 1e9) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
+    return ok, np.where(ok, digits, 1e8).astype(np.int32), np.where(ok, e, 0).astype(np.int32)
+
+
+def _put_exact(cells: np.ndarray, bad: np.ndarray, exact: list[str]) -> np.ndarray:
+    """cells with rows bad set to the ASCII strings exact, NUL padded;
+    widened when a string is longer than a row."""
+    encoded = [s.encode("ascii") for s in exact]
+    width = max(cells.shape[1], *map(len, encoded))
+    cells = np.pad(cells, ((0, 0), (0, width - cells.shape[1])))
+    cells[bad] = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return cells
+
+
+def _csv_float_bytes(values) -> np.ndarray:
+    """Cells of _CSV_FLOAT % v as ASCII rows, NUL padded to _CSV_FLOAT_WIDTH.
+
+    Cells _sci_digits cannot get right fall back to Python's formatting.
+    """
+    x = np.asarray(values, dtype=float)
+    ok, d, e = _sci_digits(x)
+    lead, rest = np.divmod(d, 100_000_000)
+    high, low = np.divmod(rest, 10_000)
+    cells = np.zeros((x.size, _CSV_FLOAT_WIDTH), dtype=np.uint8)
+    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    quads = ((3, _DIGIT_QUADS, high), (7, _DIGIT_QUADS, low), (11, _EXPONENTS, e + 99))
+    for col, table, index in quads:
+        cells[:, col : col + 4].view("V4")[:, 0] = table[index]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        cells = _put_exact(cells, bad, [_CSV_FLOAT % v for v in x[bad].tolist()])
+    return cells
+
+
+# _json_float_bytes lays a cell out from one source row per value:
+# "0000", the 9 digits, "00000000", ".", "e+XX", NUL
+_SRC_DIGITS, _SRC_DOT, _SRC_EXP, _SRC_NUL = 4, 21, 22, 26
+
+
+def _json_layouts() -> np.ndarray:
+    """Source column of each JSON cell column after the sign, by
+    (decimal exponent + 99, significant digits - 1)."""
+    e = np.arange(-99, 100)[:, None, None]
+    n = np.arange(1, 10)[None, :, None]
+    j = np.arange(_JSON_FLOAT_WIDTH - 1)
+    sci = (e < -4) | (e > 15)
+    # integer digits from column start, then "." and n_frac fraction
+    # digits (the columns after them), then n_exp exponent characters
+    start = np.where(sci, _SRC_DIGITS, _SRC_DIGITS + np.minimum(e, 0))
+    n_int = np.where(sci | (e < 0), 1, e + 1)
+    n_frac = np.where(sci, n - 1, np.maximum(n - 1 - e, 1))
+    n_exp = np.where(sci, 4, 0)
+    frac = j - n_int - (n_frac > 0)  # position among the fraction digits
+    exp = frac - n_frac  # position among the exponent characters
+    index = np.select(
+        [j < n_int, frac < 0, exp < 0, exp < n_exp],
+        [start + j, _SRC_DOT, start + j - 1, _SRC_EXP + exp],
+        _SRC_NUL,
+    )
+    return index.astype(np.uint8)
+
+
+_JSON_LAYOUTS = _json_layouts()
+
+
+def _json_float_bytes(values) -> np.ndarray:
+    """Cells of json's float(_CSV_FLOAT % v) as ASCII rows, NUL padded.
+
+    That is float.__repr__ of the 9-digit value: its significant digits
+    with trailing zeros stripped, in fixed notation for decimal
+    exponents -4..15 ("0.000123", "1234.5", "1000000000000000.0") and
+    in scientific notation otherwise ("1.5e-18", "1e-05", "1e+16").
+    Cells _sci_digits cannot get right fall back to json.dumps.
+    """
+    x = np.asarray(values, dtype=float)
+    ok, d, e = _sci_digits(x)
+    n = np.full(x.shape, 9, dtype=np.int32)  # significant digits left
+    for k in range(1, 9):
+        n -= d % 10**k == 0
+    src = np.full((x.size, _SRC_NUL + 1), ord("0"), dtype=np.uint8)
+    lead, rest = np.divmod(d, 100_000_000)
+    high, low = np.divmod(rest, 10_000)
+    src[:, _SRC_DIGITS] = lead + ord("0")
+    src[:, 5:9].view("V4")[:, 0] = _DIGIT_QUADS[high]
+    src[:, 9:13].view("V4")[:, 0] = _DIGIT_QUADS[low]
+    src[:, _SRC_DOT] = ord(".")
+    src[:, _SRC_EXP : _SRC_EXP + 4].view("V4")[:, 0] = _EXPONENTS[e + 99]
+    src[:, _SRC_NUL] = 0
+    cells = np.empty((x.size, _JSON_FLOAT_WIDTH), dtype=np.uint8)
+    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    # a flat take: np.take_along_axis is twice as slow here
+    flat_index = np.arange(0, src.size, src.shape[1])[:, None] + _JSON_LAYOUTS[e + 99, n - 1]
+    cells[:, 1:] = src.ravel()[flat_index]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        exact = [json.dumps(float(_CSV_FLOAT % v)) for v in x[bad].tolist()]
+        cells = _put_exact(cells, bad, exact)
+    return cells
+
+
+def _cell_rows(parts) -> str:
+    """Text of rows laid out as parts, one row per value.
+
+    A part is a NUL-padded cell matrix (its NULs are dropped) or a
+    string repeated whole on every row.
+    """
+    n_rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    parts = [
+        p if isinstance(p, np.ndarray)
+        else np.frombuffer(p.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        for p in parts
+    ]
+    rows = np.empty((n_rows, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    col = 0
+    for part in parts:
+        rows[:, col : col + part.shape[-1]] = part
+        col += part.shape[-1]
+    keep = rows != 0
+    col = 0
+    for part in parts:
+        if part.ndim == 1 and not part.all():  # a string holding NUL keeps it
+            keep[:, col : col + part.size] = True
+        col += part.shape[-1]
+    return rows[keep].tobytes().decode("utf-8", "surrogatepass")

@@ -29,7 +29,8 @@ from .core import (
     FitError,
     InsufficientDataError,
     ShapeError,
-    _CSV_FLOAT,
+    _cell_rows,
+    _csv_float_bytes,
     _require_finite,
     _require_positive,
 )
@@ -445,76 +446,17 @@ TRACE_HEADER = "time_s,value"
 _CSV_CHUNK_ROWS = 1 << 16
 _CSV_SLICE_CHARS = 1 << 20
 
-# exact float64 powers of ten: 10^k is representable for k <= 22
-_POW10 = np.array([float(10**k) for k in range(23)])
-# ASCII "0000".."9999" and "e-99".."e+99" as 4-byte cells
-_DIGIT_QUADS = np.frombuffer(
-    "".join(f"{k:04d}" for k in range(10_000)).encode("ascii"), dtype="V4"
-)
-_EXPONENTS = np.frombuffer(
-    "".join(f"e{k:+03d}" for k in range(-99, 100)).encode("ascii"), dtype="V4"
-)
-# widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
-_CSV_FLOAT_WIDTH = 16
-
-
-def _csv_float_bytes(values: np.ndarray) -> np.ndarray:
-    """Cells of _CSV_FLOAT % v as ASCII rows, NUL padded to _CSV_FLOAT_WIDTH.
-
-    With e = floor(log10|v|), the 9 significant digits are rint(m) for
-    m = |v| 10^(8-e), computed with one exact power of ten so m is
-    rounded once (to within 6e-8 of the true scaled value, since
-    m < 2^30).  Cells this cannot get right fall back to Python's
-    formatting: near-ties of the last digit (rint may round the other
-    way than the exact decimal expansion), a log10 off by one (rint(m)
-    outside [1e8, 1e9)), zero, non-finite values, 3-digit exponents and
-    scales beyond the exact powers.
-    """
-    x = np.asarray(values, dtype=float)
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero and non-finite fall back
-        e = np.floor(np.log10(a))
-        ok = np.isfinite(e) & (np.abs(e) < 100) & (np.abs(8 - e) <= 22)
-        k = np.where(ok, 8 - e, 0).astype(np.intp)
-        scale = _POW10[np.abs(k)]
-        m = np.divide(a, scale, where=k < 0, out=np.multiply(a, scale))
-        digits = np.rint(m)
-        ok &= (digits >= 1e8) & (digits < 1e9) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
-    d = np.where(ok, digits, 1e8).astype(np.int32)
-    e = np.where(ok, e, 0).astype(np.int32)
-    lead, rest = np.divmod(d, 100_000_000)
-    high, low = np.divmod(rest, 10_000)
-    cells = np.zeros((x.size, _CSV_FLOAT_WIDTH), dtype=np.uint8)
-    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
-    cells[:, 1] = lead + ord("0")
-    cells[:, 2] = ord(".")
-    quads = ((3, _DIGIT_QUADS, high), (7, _DIGIT_QUADS, low), (11, _EXPONENTS, e + 99))
-    for col, table, index in quads:
-        cells[:, col : col + 4].view("V4")[:, 0] = table[index]
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        exact = [(_CSV_FLOAT % v).encode("ascii") for v in x[bad].tolist()]
-        cells[bad] = np.array(exact, dtype=f"S{_CSV_FLOAT_WIDTH}").view(np.uint8).reshape(
-            bad.size, _CSV_FLOAT_WIDTH
-        )
-    return cells
-
 
 def trace_to_csv(trace: RingdownTrace) -> str:
     """time_s,value CSV of the trace, every cell written as _CSV_FLOAT."""
-    width = _CSV_FLOAT_WIDTH
     parts = [TRACE_HEADER + "\n"]
     for lo in range(0, trace.samples.size, _CSV_CHUNK_ROWS):
         values = trace.samples[lo : lo + _CSV_CHUNK_ROWS]
         # the same expression as trace.times, evaluated for this chunk only
         times = trace.start_time + np.arange(lo, lo + values.size) / trace.sample_rate
-        rows = np.empty((values.size, 2 * width + 2), dtype=np.uint8)
-        rows[:, :width] = _csv_float_bytes(times)
-        rows[:, width] = ord(",")
-        rows[:, width + 1 : 2 * width + 1] = _csv_float_bytes(values)
-        rows[:, -1] = ord("\n")
-        flat = rows.ravel()
-        parts.append(flat[flat != 0].tobytes().decode("ascii"))
+        parts.append(
+            _cell_rows([_csv_float_bytes(times), ",", _csv_float_bytes(values), "\n"])
+        )
     return "".join(parts)
 
 

@@ -349,12 +349,21 @@ class QfReport:
 
 
 def qf_requirement(omega_m: float, q_m: float, temperature: float) -> QfReport:
-    """Check Q_m omega_m > k_B T / hbar (one coherent oscillation per phonon)."""
+    """Check Q_m omega_m > k_B T / hbar (one coherent oscillation per phonon).
+
+    Raises DomainError when either side or their ratio overflows.
+    """
     _require_positive("omega_m", omega_m)
     _require_positive("q_m", q_m)
     lhs = q_m * omega_m
     rhs = CONST.k_B * _require_positive("temperature", temperature) / CONST.hbar
-    return QfReport(lhs=lhs, rhs=rhs, passed=lhs > rhs, margin=lhs / rhs)
+    margin = lhs / rhs
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
+        raise DomainError(
+            f"Qf product not finite: Q_m*omega_m = {lhs!r} rad/s, "
+            f"k_B*T/hbar = {rhs!r} rad/s, margin {margin!r}"
+        )
+    return QfReport(lhs=lhs, rhs=rhs, passed=lhs > rhs, margin=margin)
 
 
 def measurement_band_edge(omega_m: float, q_m: float, temperature: float) -> float:

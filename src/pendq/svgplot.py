@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import _DIGIT_QUADS, DomainError, _cell_rows, _put_exact
 
 PALETTE = (
     "#0072b2",
@@ -37,6 +37,32 @@ def _pow10_label(exponent: int) -> str:
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _fmt_cells(data: np.ndarray, to_pixel) -> np.ndarray:
+    """Cells of _fmt(to_pixel(v)) for v in data as NUL-padded ASCII rows.
+
+    The pixels are computed with np.log10, which may differ from
+    math.log10 in the last bit, so cells within 1e-6 of a rounding tie
+    of the second decimal, and those of 10^4 and beyond, take the
+    scalar path.
+    """
+    pixels = to_pixel(data, np.log10)
+    cents = np.abs(pixels) * 100.0
+    ok = (cents < 999_999.5) & (np.abs(cents - np.floor(cents) - 0.5) > 1e-6)
+    whole, frac = np.divmod(np.where(ok, np.rint(cents), 0.0).astype(np.int64), 100)
+    cells = np.zeros((pixels.size, 8), dtype=np.uint8)
+    cells[:, 0] = np.where(np.signbit(pixels), ord("-"), 0)
+    cells[:, 1:5].view("V4")[:, 0] = _DIGIT_QUADS[whole]
+    # the integer part's leading zeros, keeping its units digit
+    n_digits = 1 + (whole >= 10) + (whole >= 100) + (whole >= 1000)
+    cells[:, 1:4][np.arange(3) < 4 - n_digits[:, None]] = 0
+    cells[:, 5] = ord(".")
+    cells[:, 6:8] = _DIGIT_QUADS[frac].view(np.uint8).reshape(-1, 4)[:, 2:]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        cells = _put_exact(cells, bad, [_fmt(to_pixel(v)) for v in data[bad].tolist()])
+    return cells
 
 
 @dataclass(frozen=True)
@@ -111,11 +137,12 @@ def render_loglog(
     ml, mr, mt, mb = 80, 30, 50, 60
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
-    def px(x: float) -> float:
-        return ml + (math.log10(x) - dx_lo) / (dx_hi - dx_lo) * pw
+    # with log10=np.log10 these map whole arrays
+    def px(x: float, log10=math.log10) -> float:
+        return ml + (log10(x) - dx_lo) / (dx_hi - dx_lo) * pw
 
-    def py(y: float) -> float:
-        return mt + (dy_hi - math.log10(y)) / (dy_hi - dy_lo) * ph
+    def py(y: float, log10=math.log10) -> float:
+        return mt + (dy_hi - log10(y)) / (dy_hi - dy_lo) * ph
 
     out: list[str] = []
     out.append(
@@ -154,7 +181,7 @@ def render_loglog(
     # curves
     for i, c in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(c.x, c.y))
+        coords = _cell_rows([_fmt_cells(c.x, px), ",", _fmt_cells(c.y, py), " "])[:-1]
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.6" clip-path="url(#plot)"/>'

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pendq.config import load_config, paper_preset
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 FIRST_ROW = "1.00000000e+01,3.81076576e-14,suspension thermal"
@@ -318,8 +320,6 @@ def _numeric_keys():
 
 
 EXTREME_VALUES = ("1e300", "1e-300", "-1e300", "0", "-1", ".inf", ".nan", "1e30", "1e-30")
-# these would allocate a huge grid or build modes without end
-COUNT_KEYS = ("grid.points", "suspension.violin_modes")
 
 
 @pytest.mark.filterwarnings("ignore")  # extreme inputs overflow and warn
@@ -327,8 +327,6 @@ COUNT_KEYS = ("grid.points", "suspension.violin_modes")
 def test_extreme_overrides_exit_cleanly(key, tmp_path, capsys):
     out = str(tmp_path / "budget.csv")
     for value in EXTREME_VALUES:
-        if key in COUNT_KEYS and value in ("1e30", "1e300"):
-            continue
         for argv in (["check"], ["budget", "--out", out]):
             rc = cli.main([*argv, "--set", f"{key}={value}"])
             err = capsys.readouterr().err
@@ -344,6 +342,13 @@ def test_extreme_overrides_exit_cleanly(key, tmp_path, capsys):
          "analysis error: ZeroDivisionError"),
         (["check", "--set", "grid.points=.inf"], 2, "expected an integer"),
         (["check", "--set", "suspension.violin_modes=.nan"], 2, "expected an integer"),
+        (["check", "--set", "suspension.measured_pendulum_q=1e300"], 4,
+         "analysis error: Qf product not finite"),
+        (["check", "--set", "environment.temperature=1e300"], 4,
+         "analysis error: Qf product not finite"),
+        (["check", "--set", "grid.points=1e30"], 2, "grid.points: need 2..1000000"),
+        (["check", "--set", "suspension.violin_modes=1e300"], 2,
+         "suspension.violin_modes: need 0..10000"),
     ],
 )
 def test_arithmetic_and_non_finite_count_errors(argv, code, message, capsys):
@@ -357,3 +362,28 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    calls = [
+        ["budget", "--format", "csv", "--set", "grid.points=300",
+         "--set", "environment.temperature=4.2", "--out", "{dir}/first"],
+        ["budget", "--format", "json", "--out", "{dir}/second"],
+        ["check", "--set", "cavity.trap_power=0.003"],
+    ]
+    warm, fresh = tmp_path / "warm", tmp_path / "fresh"
+    warm.mkdir()
+    fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    for argv in calls:
+        rc = cli.main([a.format(dir=warm) for a in argv])
+        out = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "pendq.cli", *[a.format(dir=fresh) for a in argv]],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert (rc, out) == (proc.returncode, proc.stdout)
+    for name in ("first", "second"):
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+    # the --set values of one call must not become the next call's default
+    assert cli._parser().parse_args(["check"]).set == []

@@ -6,6 +6,8 @@ own dependencies in its own order.  An import cycle that only bites
 under one order fails here rather than for a user.
 """
 
+import ast
+import importlib
 import pkgutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 import pendq
 
 SRC = str(Path(pendq.__file__).resolve().parent.parent)
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pendq.__path__))
 
 # an empty package object stands in for pendq/__init__.py
@@ -51,3 +54,17 @@ def test_package_imports():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's per-layer trace wraps these by name; read, never run
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    )
+    for module_name, names in traced.items():
+        module = importlib.import_module(f"pendq.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"pendq.{module_name}.{name}"

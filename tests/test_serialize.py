@@ -1,0 +1,271 @@
+"""Budget output writers: the vectorised CSV, JSON and SVG writers and
+the run-based sub-SQL band finder against the per-value loops they
+replaced.
+
+The references here are those loops; the new code must match them
+exactly, byte for byte and band for band.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pendq import budget as bud
+from pendq import svgplot
+from pendq.budget import Budget, NoiseSpectrum
+from pendq.config import load_config
+from pendq.core import _CSV_FLOAT, _json_float_bytes, _sci_digits
+from pendq.svgplot import Curve, render_loglog
+
+
+# ---------------------------------------------------------------------------
+# references: the per-value writers and the band loop
+# ---------------------------------------------------------------------------
+
+def _reference_csv(spectra) -> str:
+    lines = [bud.CSV_HEADER]
+    for spec in spectra:
+        for f, a in zip(spec.frequencies, spec.asd):
+            lines.append(f"{_CSV_FLOAT % f},{_CSV_FLOAT % a},{spec.label}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(spectra) -> str:
+    payload = {
+        "spectra": [
+            {
+                "label": spec.label,
+                "frequency_hz": [float(_CSV_FLOAT % v) for v in spec.frequencies],
+                "asd_m_per_sqrthz": [float(_CSV_FLOAT % v) for v in spec.asd],
+            }
+            for spec in spectra
+        ]
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_fmt_cells(data, to_pixel) -> np.ndarray:
+    # the polyline's old f"{_fmt(px(x))},{_fmt(py(y))}" cells, one per value
+    cells = np.array([svgplot._fmt(to_pixel(v)).encode("ascii") for v in data])
+    return cells.view(np.uint8).reshape(len(cells), -1)
+
+
+def _reference_band(budget, which="thermal-only"):
+    asd = budget.thermal_rss() if which == "thermal-only" else budget.total.asd
+    freqs = budget.frequencies
+    log_ratio = np.log(asd) - np.log(budget.sql.asd)
+    below = log_ratio < 0.0
+
+    def crossing(i, j):
+        lf0, lf1 = math.log(freqs[i]), math.log(freqs[j])
+        r0, r1 = log_ratio[i], log_ratio[j]
+        t = (0.0 - r0) / (r1 - r0)
+        return math.exp(lf0 + t * (lf1 - lf0))
+
+    bands = []
+    n = freqs.size
+    i = 0
+    while i < n:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and below[j + 1]:
+            j += 1
+        f_lo = float(freqs[0]) if i == 0 else crossing(i - 1, i)
+        f_hi = float(freqs[-1]) if j == n - 1 else crossing(j, j + 1)
+        bands.append((f_lo, f_hi))
+        i = j + 1
+    return bands
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON
+# ---------------------------------------------------------------------------
+
+# d * 10^k with 1-9 significant digits in [1e-99, 1e99), decimal
+# exponents -5, -4, 15 and 16 drawn often: there json's float repr
+# switches between fixed and scientific notation
+_DIGITS = st.integers(1, 9).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+_EXPONENT = st.one_of(st.integers(-99, 98), st.sampled_from([-5, -4, 15, 16]))
+_DECIMALS = st.builds(lambda d, e: float(f"{d}e{e - len(str(d)) + 1}"), _DIGITS, _EXPONENT)
+_VALUES = st.one_of(_DECIMALS, st.floats(min_value=1e-99, max_value=1e99))
+_LABELS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['say "SQL"', "back\\slash", "µ-thermal ≤ SQL", "total"]),
+)
+
+
+@st.composite
+def _spectra(draw):
+    grids = [
+        np.unique(draw(st.lists(_VALUES, min_size=1, max_size=12)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    spectra = []
+    for _ in range(draw(st.integers(0, 4))):
+        grid = draw(st.sampled_from(grids))
+        if draw(st.booleans()):
+            grid = grid.copy()  # an equal grid that is another array
+        asd = draw(st.lists(_VALUES, min_size=grid.size, max_size=grid.size))
+        spectra.append(NoiseSpectrum(grid, np.array(asd), draw(_LABELS)))
+    return spectra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra())
+@example([])
+@example([NoiseSpectrum(np.array([1e-5, 1e16]), np.array([1.5e-18, 2.0]), "nul\0 label")])
+def test_csv_and_json_match_per_value_writers(spectra):
+    assert bud.spectra_to_csv(spectra) == _reference_csv(spectra)
+    assert bud.spectra_to_json(spectra) == _reference_json(spectra)
+
+
+def test_budget_outputs_match_per_value_writers():
+    grid = bud.log_grid(10.0, 1e4, 700)
+    cfg = load_config()
+    components = bud.model_components(
+        cfg.model, bud.COMPONENT_NAMES, grid, cfg.violin_mode_count, cavity=cfg.cavity
+    )
+    b = bud.total_budget(components, cfg.test_mass.mass, grid)
+    spectra = [*b.components, b.total, b.sql]
+    assert bud.spectra_to_csv(spectra) == _reference_csv(spectra)
+    assert bud.spectra_to_json(spectra) == _reference_json(spectra)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_VALUES, _VALUES.map(lambda v: -v), st.floats()), max_size=20))
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
+@example([1e-5, 1e-4, 1e15, 1e16, 9.99999999e-5, 9.999999995e15, 1234567891234567.0])
+@example([1e-36, 1e-37, 1e52, 1e53, 1.5e-18, 2.5e-30, 999999999.5, 0.5e-20])
+def test_json_cells_match_float_repr(values):
+    cells = _json_float_bytes(np.array(values, dtype=float))
+    got = [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells]
+    assert got == [json.dumps(float(_CSV_FLOAT % v)) for v in values]
+
+
+def test_sci_digits_exact_path_spans_two_powers_of_ten():
+    # ASDs near 1e-18 need 10^26: two exact powers, not the Python fallback
+    x = np.geomspace(1e-36, 9e52, 2001)
+    ok, digits, e = _sci_digits(x)
+    assert ok.mean() > 0.99
+    assert [f"{d / 1e8:.8f}e{k:+03d}" for d, k in zip(digits[ok], e[ok])] == [
+        _CSV_FLOAT % v for v in x[ok]
+    ]
+
+
+# ---------------------------------------------------------------------------
+# SVG
+# ---------------------------------------------------------------------------
+
+def _render_both(curves):
+    new = render_loglog(curves, "t", "x", "y")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svgplot, "_fmt_cells", _reference_fmt_cells)
+        old = render_loglog(curves, "t", "x", "y")
+    return new, old
+
+
+def test_svg_ties_and_clipped_points_match():
+    # 16 decades on both axes: 770/16 = 48.125 and 450/16 = 28.125 px per
+    # decade, so odd decades land on exact .xx5 ties of the second decimal
+    decades = Curve("decades", 10.0 ** np.arange(17), 10.0 ** -np.arange(17.0))
+    # a spike above the plot whose y pixel is -0.002, printed "-0.00",
+    # and one far above it, clipped outside the plot
+    x = np.geomspace(1.0, 1e16, 2000)
+    y = np.geomspace(1e-16, 1.0, 2000)
+    y[1000] = 10.0 ** ((50.0 + 0.002) / 28.125)
+    y[1500] = 1e200
+    new, old = _render_both([decades, Curve("spike", x, y)])
+    assert new == old
+    assert "128.12," in new  # 128.125, rounded half to even
+    assert ",-0.00 " in new
+    assert ",-" in new.replace(",-0.00 ", "")  # the clipped point
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.tuples(st.integers(-30, 30), st.integers(1, 20)),
+    st.lists(st.floats(min_value=1e-200, max_value=1e200), min_size=2, max_size=60),
+)
+def test_svg_matches_per_value_writer(n, x_span, y_values):
+    lo, width = x_span
+    x = np.geomspace(10.0**lo, 10.0 ** (lo + width), n)
+    y = np.resize(np.array(y_values), n)
+    new, old = _render_both([Curve("c", x, y), Curve("d", x, y[::-1])])
+    assert new == old
+
+
+def _linear(v, log10=math.log10):
+    return v
+
+
+def _log_pixel(v, log10=math.log10):
+    return 80 + (log10(v) + 20) / 16 * 770
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6),
+            st.floats(-1e300, 1e300),  # widened fallback cells
+            st.integers(-10**6, 10**6).map(lambda k: (k + 0.5) / 100),  # near ties
+            st.integers(-10**5, 10**5).map(lambda k: k / 8),  # exact ties
+            st.floats(-0.005, 0.0),  # "-0.00"
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_fmt_cells_match_percent_2f(values):
+    data = np.array(values)
+    cells = svgplot._fmt_cells(data, _linear)
+    assert [bytes(r).replace(b"\0", b"").decode() for r in cells] == [
+        f"{v:.2f}" for v in values
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=20))
+def test_fmt_cells_of_log_pixels_match_math_log10(values):
+    data = np.array(values)
+    cells = svgplot._fmt_cells(data, _log_pixel)
+    assert [bytes(r).replace(b"\0", b"").decode() for r in cells] == [
+        f"{_log_pixel(v):.2f}" for v in values
+    ]
+
+
+# ---------------------------------------------------------------------------
+# sub-SQL band
+# ---------------------------------------------------------------------------
+
+def _budget_of(signs, magnitudes):
+    grid = np.geomspace(10.0, 1e4, len(signs))
+    sql = NoiseSpectrum(grid, 1e-18 * (grid / 10.0) ** -1.0, "SQL")
+    asd = sql.asd * np.exp(np.array(signs) * np.resize(magnitudes, len(signs)))
+    thermal = NoiseSpectrum(grid, asd, "suspension thermal")
+    return Budget((thermal,), NoiseSpectrum(grid, asd, "total"), sql)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=40),
+    st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=5),
+)
+@example([-1.0] * 7, [0.3])  # all below: one band, both edges the grid's
+@example([1.0] * 7, [0.3])  # none below
+@example([0.0] * 7, [0.3])  # exactly at the SQL is not below
+@example([-1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0], [0.2, 1.0])  # runs at both edges
+@example([-1.0], [0.1])
+@example([1.0, -1.0], [0.1])
+def test_sub_sql_band_matches_loop(signs, magnitudes):
+    budget = _budget_of(signs, magnitudes)
+    for which in ("thermal-only", "total"):
+        assert bud.sub_sql_band(budget, which) == _reference_band(budget, which)
+

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from pendq import DomainError
 from pendq import ringdown as rd
-from pendq.core import _CSV_FLOAT
+from pendq.core import _CSV_FLOAT, _csv_float_bytes
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 
 
 def _cells(values) -> list[str]:
-    rows = rd._csv_float_bytes(np.asarray(values, dtype=float))
+    rows = _csv_float_bytes(np.asarray(values, dtype=float))
     return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
 
 
