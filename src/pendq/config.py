@@ -111,6 +111,12 @@ def _check_leaf(location: str, kind: str, value: Any) -> Any:
         if not isinstance(value, str):
             raise ConfigError(f"{location}: expected a string, got {value!r}")
         return value
+    if isinstance(value, str):
+        # bare exponents like 2.0e6 or 4e-7 are strings to YAML; take them as numbers
+        try:
+            value = float(value)
+        except ValueError:
+            pass
     if kind == _OPT_NUM and value is None:
         return None
     if kind in (_NUM, _OPT_NUM):
@@ -150,20 +156,22 @@ def merge_config(user: dict | None) -> dict:
     return merged
 
 
-def _navigate(raw: dict, path: str) -> tuple[dict, str, Any]:
-    """Resolve a dotted path to (parent mapping, final key, schema kind)."""
-    keys = path.split(".")
-    schema: Any = SCHEMA
-    node = raw
-    for i, key in enumerate(keys):
-        if not isinstance(schema, dict) or key not in schema:
-            raise ConfigError(f"unknown config key: {path}")
-        schema = schema[key]
-        if i < len(keys) - 1:
-            node = node[key]
-    if isinstance(schema, dict):
-        raise ConfigError(f"{path} is a section, not a value")
-    return node, keys[-1], schema
+def _load_yaml(source: Any, where: str) -> Any:
+    """yaml.safe_load of a string or text file; malformed YAML and
+    non-UTF-8 bytes are config errors naming where they came from."""
+    try:
+        return yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: malformed YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{where}: not UTF-8 text ({exc})") from exc
+
+
+def _merge_path(raw: dict, path: str, value: Any) -> None:
+    """Merge value at a dotted path, as the one-leaf mapping it spells."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    _merge_section(raw, SCHEMA, value, "")
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -172,21 +180,12 @@ def apply_override(raw: dict, assignment: str) -> None:
         raise ConfigError(f"override must look like section.key=value, got {assignment!r}")
     path, text = assignment.split("=", 1)
     path = path.strip()
-    value = yaml.safe_load(text) if text.strip() != "" else None
-    node, key, kind = _navigate(raw, path)
-    if isinstance(value, str) and kind in (_NUM, _OPT_NUM, _INT):
-        # bare exponents like 3e-07 are strings to YAML; take them as numbers
-        try:
-            value = float(value)
-        except ValueError:
-            pass
-    node[key] = _check_leaf(path, kind, value)
+    _merge_path(raw, path, _load_yaml(text, path) if text.strip() != "" else None)
 
 
 def set_numeric(raw: dict, path: str, value: float) -> None:
     """Set one numeric field by dotted path (sweep support)."""
-    node, key, kind = _navigate(raw, path)
-    node[key] = _check_leaf(path, kind, float(value))
+    _merge_path(raw, path, float(value))
 
 
 def get_numeric(raw: dict, path: str) -> float:
@@ -292,7 +291,7 @@ def load_raw(path: str | None, overrides: list[str] | None = None) -> dict:
     user = None
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            user = yaml.safe_load(fh)
+            user = _load_yaml(fh, path)
         if user is None:
             user = {}
         if not isinstance(user, dict):

@@ -273,6 +273,14 @@ def test_config_file_matches_set_flags(tmp_path):
          "--set", "fiber.length=0.02", "--out", str(b)]
     ) == 0
     assert a.read_bytes() == b.read_bytes()
+    # bare exponents, strings to YAML, are numbers in a file as in --set
+    conf.write_text("fiber:\n  radius: 4e-7\nsuspension:\n  measured_pendulum_q: 2.0e6\n")
+    assert cli.main(["budget", "--config", str(conf), "--out", str(a)]) == 0
+    assert cli.main(
+        ["budget", "--set", "fiber.radius=4e-7",
+         "--set", "suspension.measured_pendulum_q=2.0e6", "--out", str(b)]
+    ) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_file_missing(capsys):
@@ -387,3 +395,59 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         assert (warm / name).read_bytes() == (fresh / name).read_bytes()
     # the --set values of one call must not become the next call's default
     assert cli._parser().parse_args(["check"]).set == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--config", "{dir}/flow.yaml"], "flow.yaml: malformed YAML"),
+        (["check", "--set", "fiber.radius=[1"], "fiber.radius: malformed YAML"),
+        (["check", "--config", "{dir}/utf16.yaml"], "utf16.yaml: not UTF-8 text"),
+        (["budget", "--format", "svg", "--overlay", "{dir}/utf16.csv", "--out", "-"],
+         "utf16.csv: not UTF-8 text"),
+        (["sweep", "--param", "fiber.radius", "--from", "1e-7", "--to", "1e-6",
+          "--steps", "1000000000000000000", "--metric", "q_ideal", "--out", "{dir}/s.csv"],
+         "--steps must be <= 10000, got 1000000000000000000"),
+        (["sweep", "--param", "fiber.radius", "--from", "1e-7", "--to", "1e-6",
+          "--steps", "10001", "--metric", "q_ideal", "--out", "{dir}/s.csv"],
+         "--steps must be <= 10000, got 10001"),
+    ],
+    ids=["yaml-file", "yaml-set", "utf16-config", "utf16-overlay", "steps-1e18", "steps-10001"],
+)
+def test_malformed_config_inputs_exit_2(argv, message, tmp_path, capsys):
+    (tmp_path / "flow.yaml").write_text("fiber:\n  radius: [1\n")
+    (tmp_path / "utf16.yaml").write_bytes(b"\xff\xfe" + "fiber: {}\n".encode("utf-16-le"))
+    (tmp_path / "utf16.csv").write_bytes(
+        b"\xff\xfe" + "mass_kg,dissipation_per_s\n1e-9,1e-2\n".encode("utf-16-le")
+    )
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--f0", "-1"], "config error: ringdown.f0: need > 0, got -1.0"),
+        (["--bandwidth", "0"], "config error: ringdown.bandwidth: need > 0, got 0.0"),
+        (["--bin-seconds", "long"], "config error: ringdown.bin_seconds: expected a number"),
+    ],
+    ids=["f0", "bandwidth", "bin-seconds"],
+)
+def test_ringdown_fit_flags_are_config_values(flags, message, capsys):
+    assert cli.main(["ringdown", "fit", str(FIXTURE), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_ringdown_fit_flag_wins_over_set(capsys):
+    def fit(*flags):
+        assert cli.main(["ringdown", "fit", str(FIXTURE), *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert fit("--set", "ringdown.f0=2.21")["f0_hz"] == 2.21
+    expected = fit("--f0", "2.2")
+    assert fit("--f0", "2.2", "--set", "ringdown.f0=2.21") == expected
+    assert fit("--set", "ringdown.f0=2.21", "--f0", "2.2") == expected
+    # the flags of one call must not become the next call's default
+    assert cli._parser().parse_args(["ringdown", "fit", "x.csv"]).ringdown_set == []

@@ -225,3 +225,25 @@ def test_nullable_fields():
 def test_preset_material_is_fused_silica():
     config = cfg.load_config()
     assert config.material == dataclasses.replace(FUSED_SILICA, measured_q=1.2e4)
+
+
+def test_bare_exponents_are_numbers(tmp_path):
+    f = tmp_path / "exp.yaml"
+    f.write_text("fiber:\n  radius: 4e-7\nsuspension:\n  measured_pendulum_q: 2.0e6\n"
+                 "grid:\n  points: 1e3\n")
+    raw = cfg.load_raw(str(f))
+    assert raw["fiber"]["radius"] == 4e-7
+    assert raw["suspension"]["measured_pendulum_q"] == 2.0e6
+    assert raw["grid"]["points"] == 1000
+    assert isinstance(raw["grid"]["points"], int)
+    with pytest.raises(ConfigError, match="material.name: expected a string"):
+        cfg.merge_config({"material": {"name": 1e3}})
+
+
+def test_override_with_a_section_mapping():
+    raw = cfg.paper_preset()
+    cfg.apply_override(raw, "fiber={radius: 4e-7, length: 0.02}")
+    assert raw["fiber"] == {"radius": 4e-7, "length": 0.02}
+    with pytest.raises(ConfigError, match="unknown config key: fiber.girth"):
+        cfg.apply_override(raw, "fiber={girth: 1}")
+
