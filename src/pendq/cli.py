@@ -24,9 +24,9 @@ from . import budget as budget_mod
 from . import ringdown as ringdown_mod
 from .cavity import effective_oscillator, effective_requirements
 from .config import (
+    PAPER_PRESET,
     ExperimentConfig,
     build_config,
-    get_numeric,
     load_config,
     load_raw,
     set_numeric,
@@ -214,12 +214,7 @@ def cmd_ringdown_fit(args) -> int:
     cfg = load_config(args.config, [*args.set, *args.ringdown_set])
     traces = [_read_trace(path) for path in args.traces]
     fit = ringdown_mod.measure_q(
-        traces,
-        f0=cfg.ringdown_f0,
-        bandwidth=cfg.ringdown_bandwidth,
-        bin_seconds=cfg.ringdown_bin_seconds,
-        settle_seconds=args.settle_seconds,
-        refine=args.refine,
+        traces, **cfg.ringdown, settle_seconds=args.settle_seconds, refine=args.refine
     )
     _write_text(args.out, ringdown_mod.fit_to_json(fit))
     return EXIT_OK
@@ -291,7 +286,7 @@ def cmd_sweep(args) -> int:
             f"unknown metric {args.metric!r}; choose from {', '.join(sorted(METRICS))}"
         )
     raw = load_raw(args.config, args.set)
-    get_numeric(raw, args.param)  # fail fast on unknown/non-numeric params
+    set_numeric(raw, args.param, args.start)  # fail fast on unknown/non-numeric params
     if args.log:
         if args.start <= 0 or args.stop <= 0:
             raise ConfigError("--log sweeps need positive endpoints")
@@ -323,7 +318,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="pendq",
         description="Suspended-pendulum optomechanics: noise budgets, "
@@ -371,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = rd.add_parser("fit", help="fit Q from one or more trace CSVs")
     _add_config_args(pf)
     pf.add_argument("traces", nargs="+", help="trace CSV files (aggregated)")
-    for key in ("f0", "bandwidth", "bin_seconds"):
+    for key in PAPER_PRESET["ringdown"]:
         pf.add_argument("--" + key.replace("_", "-"), dest="ringdown_set", action="append",
                         default=[], type=f"ringdown.{key}={{}}".format, metavar=key.upper(),
                         help=f"shorthand for --set ringdown.{key}={key.upper()}")
@@ -394,12 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -413,7 +404,7 @@ def main(argv=None) -> int:
     except (DomainError, ShapeError, FitError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except ArithmeticError as exc:  # overflow or division by zero at extreme inputs
+    except (ArithmeticError, MemoryError) as exc:  # extreme inputs overflow or exhaust memory
         print(f"analysis error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 

@@ -10,8 +10,10 @@ preset doubles as the schema: each key's kind follows its preset value.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, replace
-from typing import Any
+import math
+from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 import yaml
@@ -122,7 +124,13 @@ def _check_leaf(location: str, kind: str, value: Any) -> Any:
     if kind in (_NUM, _OPT_NUM):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{location}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{location}: expected a finite number, got {value!r}")
+        return number
     if kind == _INT:
         if isinstance(value, bool):
             raise ConfigError(f"{location}: expected an integer, got {value!r}")
@@ -188,17 +196,6 @@ def set_numeric(raw: dict, path: str, value: float) -> None:
     _merge_path(raw, path, float(value))
 
 
-def get_numeric(raw: dict, path: str) -> float:
-    node: Any = raw
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"unknown config key: {path}")
-        node = node[key]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path} is not numeric")
-    return float(node)
-
-
 # ---------------------------------------------------------------------------
 # Typed assembly
 # ---------------------------------------------------------------------------
@@ -212,23 +209,13 @@ class ExperimentConfig:
     test_mass: TestMass
     env: Environment
     cavity: Cavity
+    model: PendulumModel
     grid_f_min: float
     grid_f_max: float
     grid_points: int
-    ringdown_f0: float
-    ringdown_bandwidth: float
-    ringdown_bin_seconds: float
-    measured_pendulum_q: float
+    # the ringdown section as measure_q keyword arguments, read-only
+    ringdown: Mapping[str, float] = field(hash=False)
     violin_mode_count: int
-
-    @property
-    def model(self) -> PendulumModel:
-        return PendulumModel(
-            fiber=self.fiber,
-            test_mass=self.test_mass,
-            env=self.env,
-            measured_pendulum_q=self.measured_pendulum_q,
-        )
 
     def grid(self) -> np.ndarray:
         return log_grid(self.grid_f_min, self.grid_f_max, self.grid_points)
@@ -245,15 +232,17 @@ def build_config(raw: dict) -> ExperimentConfig:
     material = dict(raw["material"])
     q_ref = material["surface_q_reference"]
     material["surface_q_reference"] = (q_ref["q"], q_ref["radius"])
+    g, s = raw["grid"], raw["suspension"]
     try:
         material = Material(**material)
         fiber = Fiber(**raw["fiber"], material=material)
         test_mass = TestMass(**raw["test_mass"])
         env = Environment(**raw["environment"])
         cavity = Cavity(**raw["cavity"])
+        model = PendulumModel(fiber, test_mass, env, measured_pendulum_q=s["measured_pendulum_q"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    g, r, s = raw["grid"], raw["ringdown"], raw["suspension"]
+    ringdown = MappingProxyType({key: float(v) for key, v in raw["ringdown"].items()})
     if not g["f_min"] > 0 or not g["f_max"] > g["f_min"]:
         raise ConfigError(f"grid: need 0 < f_min < f_max, got [{g['f_min']}, {g['f_max']}]")
     if not 2 <= g["points"] <= MAX_GRID_POINTS:
@@ -262,26 +251,20 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"suspension.violin_modes: need 0..{MAX_VIOLIN_MODES}, got {s['violin_modes']}"
         )
-    if not s["measured_pendulum_q"] > 0:
-        raise ConfigError(
-            f"suspension.measured_pendulum_q: need > 0, got {s['measured_pendulum_q']}"
-        )
-    for key in ("f0", "bandwidth", "bin_seconds"):
-        if not r[key] > 0:
-            raise ConfigError(f"ringdown.{key}: need > 0, got {r[key]}")
+    for key, value in ringdown.items():
+        if not value > 0:
+            raise ConfigError(f"ringdown.{key}: need > 0, got {value}")
     return ExperimentConfig(
         material=material,
         fiber=fiber,
         test_mass=test_mass,
         env=env,
         cavity=cavity,
+        model=model,
         grid_f_min=float(g["f_min"]),
         grid_f_max=float(g["f_max"]),
         grid_points=int(g["points"]),
-        ringdown_f0=float(r["f0"]),
-        ringdown_bandwidth=float(r["bandwidth"]),
-        ringdown_bin_seconds=float(r["bin_seconds"]),
-        measured_pendulum_q=float(s["measured_pendulum_q"]),
+        ringdown=ringdown,
         violin_mode_count=int(s["violin_modes"]),
     )
 

@@ -32,6 +32,7 @@ from .core import (
     _cell_rows,
     _csv_float_bytes,
     _require_finite,
+    _require_nonnegative,
     _require_positive,
 )
 
@@ -41,6 +42,13 @@ SETTLE_BANDWIDTHS = 10.0
 
 MIN_CYCLES = 10.0
 MIN_FIT_BINS = 5
+
+# upper bound on a synthesized record's samples, checked before anything
+# is allocated: `pendq ringdown synth` peaks at about 70 bytes per sample
+# (405 MB for a 24 h 50 Hz record of 4.32 M samples, 106 MB of it the
+# interpreter and imports), so this caps it near 2.9 GB and admits a
+# 7-day 50 Hz record (30.24 M samples)
+MAX_SYNTH_SAMPLES = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,8 @@ def synthesize_ringdown(
     tau = Q/(pi f0); q = inf gives a constant envelope.  drift_uhz, if
     set, makes the instantaneous frequency wander slowly (correlation
     time ~20 s) with that RMS in microhertz, the scale real suspensions
-    drift by.  Deterministic for a fixed seed and parameter set.
+    drift by.  Deterministic for a fixed seed and parameter set.  A
+    record of more than MAX_SYNTH_SAMPLES samples is a DomainError.
     """
     _require_positive("f0", f0)
     if not q > 0.0:
@@ -162,6 +171,11 @@ def synthesize_ringdown(
     if duration * f0 < MIN_CYCLES:
         raise DomainError(
             f"record holds {duration * f0:.1f} cycles, need >= {MIN_CYCLES:g}"
+        )
+    if duration * sample_rate > MAX_SYNTH_SAMPLES:
+        raise DomainError(
+            f"record holds {duration * sample_rate:.4g} samples, "
+            f"MAX_SYNTH_SAMPLES is {MAX_SYNTH_SAMPLES}"
         )
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
@@ -404,7 +418,8 @@ def measure_q(
     samples pooled before binning, so aggregating k identical-statistics
     records shrinks the fitted uncertainty by about sqrt(k).  The first
     and last settle_seconds (default 10/bandwidth) of each envelope are
-    discarded to drop zero-phase filter edge transients.
+    discarded to drop zero-phase filter edge transients; a given
+    settle_seconds must be finite and >= 0.
     """
     if isinstance(traces, RingdownTrace):
         traces = [traces]
@@ -412,6 +427,8 @@ def measure_q(
         raise InsufficientDataError("no traces given")
     if settle_seconds is None:
         settle_seconds = SETTLE_BANDWIDTHS / bandwidth
+    else:
+        settle_seconds = _require_nonnegative("settle_seconds", settle_seconds)
     all_t, all_a = [], []
     for trace in traces:
         if trace.duration * f0 < MIN_CYCLES:

@@ -3,7 +3,17 @@
 pytest captures stdout, so the acceptance tests cannot reliably print
 their own verdict lines; this hook collects their outcomes and writes
 one line each into the summary, where capture is off.
+
+It also puts the checkout's src/ on PYTHONPATH, so the `python -m
+pendq.cli` children some tests start import the same tree that
+pyproject's `pythonpath = ["src"]` gives the tests themselves.
 """
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _ACCEPTANCE_OUTCOMES: dict[str, str] = {}
 

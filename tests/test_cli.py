@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and file formats."""
 
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from pendq import budget, cli
-from pendq.config import load_config, paper_preset
+from pendq import ringdown as ringdown_mod
+from pendq.config import PAPER_PRESET, load_config, paper_preset
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -357,6 +359,11 @@ def test_extreme_overrides_exit_cleanly(key, tmp_path, capsys):
         (["check", "--set", "grid.points=1e30"], 2, "grid.points: need 2..1000000"),
         (["check", "--set", "suspension.violin_modes=1e300"], 2,
          "suspension.violin_modes: need 0..10000"),
+        (["check", "--set", "grid.f_max=.inf"], 2, "expected a finite number"),
+        (["check", "--set", "suspension.measured_pendulum_q=.inf"], 2,
+         "expected a finite number"),
+        (["check", "--set", "fiber.radius=" + "9" * 401], 2, "expected a finite number"),
+        (["ringdown", "fit", str(FIXTURE), "--f0", ".inf"], 2, "expected a finite number"),
     ],
 )
 def test_arithmetic_and_non_finite_count_errors(argv, code, message, capsys):
@@ -451,3 +458,58 @@ def test_ringdown_fit_flag_wins_over_set(capsys):
     assert fit("--set", "ringdown.f0=2.21", "--f0", "2.2") == expected
     # the flags of one call must not become the next call's default
     assert cli._parser().parse_args(["ringdown", "fit", "x.csv"]).ringdown_set == []
+
+
+def test_sweep_over_a_nullable_key(capsys):
+    argv = ["sweep", "--param", "test_mass.attachment_offset", "--from", "1e-3",
+            "--to", "2e-3", "--steps", "3", "--metric", "omega_eff", "--out", "-"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "test_mass.attachment_offset,omega_eff"
+    assert len(lines[1:]) == 3
+
+
+def test_ringdown_section_keys_are_measure_q_parameters():
+    parameters = inspect.signature(ringdown_mod.measure_q).parameters
+    assert set(PAPER_PRESET["ringdown"]) <= set(parameters)
+
+
+@pytest.mark.filterwarnings("ignore")  # extreme inputs overflow and warn
+@pytest.mark.parametrize("key", sorted(PAPER_PRESET["ringdown"]))
+def test_ringdown_fit_extreme_values_exit_cleanly(key, capsys):
+    for value in EXTREME_VALUES:
+        rc = cli.main(["ringdown", "fit", str(FIXTURE), "--set", f"ringdown.{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 4), (key, value, rc)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--duration", "1e15"], ["--sample-rate", "1e300"]],
+    ids=["duration", "sample-rate"],
+)
+def test_ringdown_synth_bound(flags, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["ringdown", "synth", *flags, "--out", str(out)]) == 4
+    # refused by the bound before any array exists, not by a MemoryError
+    assert "MAX_SYNTH_SAMPLES" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("-5", "settle_seconds must be >= 0"), ("nan", "settle_seconds must be finite")],
+)
+def test_ringdown_fit_rejects_bad_settle_seconds(value, message, capsys):
+    assert cli.main(["ringdown", "fit", str(FIXTURE), "--settle-seconds", value]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_memory_error_exits_4(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(ringdown_mod, "synthesize_ringdown", exhausted)
+    assert cli.main(["ringdown", "synth", "--out", str(tmp_path / "x.csv")]) == 4
+    assert "analysis error: MemoryError: cannot allocate" in capsys.readouterr().err

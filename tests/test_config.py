@@ -91,6 +91,11 @@ def test_apply_override_values():
         "fiber.girth=0.1",              # unknown key
         "fiber.radius=thick",           # not a number
         "grid.points=2.5",              # not integral
+        "grid.f_max=.inf",              # not finite
+        "environment.temperature=.nan",
+        "material.measured_q=-.inf",    # nullable, but not finite
+        "test_mass.attachment_offset=.inf",
+        "fiber.length=1e400",           # a float literal beyond the float range
     ],
 )
 def test_apply_override_rejects(assignment):
@@ -103,17 +108,12 @@ def test_set_and_get_numeric():
     raw = cfg.paper_preset()
     cfg.set_numeric(raw, "environment.pressure", 2.5e-6)
     assert raw["environment"]["pressure"] == 2.5e-6
-    assert cfg.get_numeric(raw, "environment.pressure") == 2.5e-6
     cfg.set_numeric(raw, "grid.points", 300.0)
     assert raw["grid"]["points"] == 300
     with pytest.raises(ConfigError):
         cfg.set_numeric(raw, "grid.points", 300.5)
     with pytest.raises(ConfigError):
         cfg.set_numeric(raw, "nope.nothing", 1.0)
-    with pytest.raises(ConfigError):
-        cfg.get_numeric(raw, "material.name")
-    with pytest.raises(ConfigError):
-        cfg.get_numeric(raw, "material.missing")
 
 
 def test_build_config_preset():
@@ -247,3 +247,23 @@ def test_override_with_a_section_mapping():
     with pytest.raises(ConfigError, match="unknown config key: fiber.girth"):
         cfg.apply_override(raw, "fiber={girth: 1}")
 
+
+def test_config_is_hashable():
+    assert hash(cfg.load_config()) == hash(cfg.load_config())
+    assert cfg.load_config() == cfg.load_config()
+
+
+def test_model_is_built_once():
+    config = cfg.load_config(None, ["suspension.measured_pendulum_q=3e6"])
+    assert config.model is config.model
+    assert config.model.measured_pendulum_q == 3e6
+    assert config.model.fiber is config.fiber
+    with pytest.raises(ConfigError, match="measured_pendulum_q must be > 0"):
+        cfg.load_config(None, ["suspension.measured_pendulum_q=0"])
+
+
+def test_ringdown_section_is_read_only():
+    config = cfg.load_config(None, ["ringdown.f0=2.3"])
+    assert dict(config.ringdown) == {"f0": 2.3, "bandwidth": 0.5, "bin_seconds": 20.0}
+    with pytest.raises(TypeError):
+        config.ringdown["f0"] = 1.0

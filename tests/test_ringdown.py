@@ -409,3 +409,11 @@ def test_ringdown_fit_validation():
         rd.RingdownFit(
             tau=-1.0, f0=2.2, q=1.0, q_rel_error=0.01, residual_norm=1.0, n_bins=8
         )
+
+
+def test_synthesize_sample_bound():
+    too_long = rd.MAX_SYNTH_SAMPLES / 50.0 + 1.0
+    with pytest.raises(DomainError, match="MAX_SYNTH_SAMPLES"):
+        rd.synthesize_ringdown(2.2, 2000.0, 50.0, too_long)
+    # the bound admits a 7-day 50 Hz record
+    assert 7 * 86400 * 50 <= rd.MAX_SYNTH_SAMPLES
