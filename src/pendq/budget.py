@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .core import (
 from .cavity import Cavity, radiation_pressure_force_psd
 from .suspension import Mode, PendulumModel, suspension_modes
 
-QUADRATURE_REL_TOL = 1e-12
-
 
 def log_grid(f_min: float = 10.0, f_max: float = 1.0e4, points: int = 2000) -> np.ndarray:
     """Logarithmic frequency grid [Hz]."""
@@ -45,6 +43,17 @@ def log_grid(f_min: float = 10.0, f_max: float = 1.0e4, points: int = 2000) -> n
     return np.geomspace(f_min, f_max, points)
 
 
+def _checked_grid(grid_hz) -> np.ndarray:
+    grid = np.asarray(grid_hz, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ShapeError("grid must be a 1-d array")
+    if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
+        raise DomainError("grid must be positive and finite (0 Hz is not allowed)")
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError("grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class NoiseSpectrum:
     """One labeled ASD trace on a strictly increasing positive grid."""
@@ -54,18 +63,12 @@ class NoiseSpectrum:
     label: str
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = _checked_grid(self.frequencies)
         asd = np.asarray(self.asd, dtype=float)
-        if freqs.ndim != 1 or freqs.shape != asd.shape:
+        if asd.shape != freqs.shape:
             raise ShapeError(
                 f"frequencies {freqs.shape} and asd {asd.shape} must be equal-length 1-d"
             )
-        if freqs.size < 1:
-            raise ShapeError("empty spectrum")
-        if not np.all(np.isfinite(freqs)) or freqs[0] <= 0.0:
-            raise DomainError("grid must be positive and finite")
-        if np.any(np.diff(freqs) <= 0.0):
-            raise DomainError("grid must be strictly increasing")
         if not np.all(np.isfinite(asd)) or np.any(asd <= 0.0):
             raise DomainError(f"spectrum {self.label!r}: asd values must be > 0 and finite")
         freqs.flags.writeable = False
@@ -86,54 +89,35 @@ class NoiseSpectrum:
 
 @dataclass(frozen=True)
 class Budget:
-    """Component spectra, their quadrature-sum total, and the SQL reference."""
+    """Component spectra, their quadrature-sum total, and the SQL reference.
+
+    The total is derived here, once: every component must share the
+    SQL's grid, and their powers are summed in component order.
+    """
 
     components: tuple[NoiseSpectrum, ...]
-    total: NoiseSpectrum
     sql: NoiseSpectrum
+    total: NoiseSpectrum = field(init=False)
 
     def __post_init__(self):
-        grid = self.total.frequencies
-        for spec in (*self.components, self.sql):
-            if spec.frequencies.shape != grid.shape or not np.array_equal(
-                spec.frequencies, grid
-            ):
-                raise ShapeError(f"{spec.label!r} is not on the budget grid")
+        if not self.components:
+            raise ShapeError("at least one component is required")
+        grid = self.sql.frequencies
         power = np.zeros_like(grid)
         for spec in self.components:
+            if not np.array_equal(spec.frequencies, grid):
+                raise ShapeError(f"component {spec.label!r} is not on the budget grid")
             power += spec.asd**2
-        if not np.allclose(self.total.asd**2, power, rtol=QUADRATURE_REL_TOL, atol=0.0):
-            raise DomainError("total is not the quadrature sum of the components")
+        object.__setattr__(self, "total", NoiseSpectrum(grid, np.sqrt(power), "total"))
 
     @property
     def frequencies(self) -> np.ndarray:
         return self.total.frequencies
 
-    def thermal_rss(self) -> np.ndarray:
-        """Quadrature sum of the thermal components (labels not starting 'quantum')."""
-        power = np.zeros_like(self.frequencies)
-        found = False
-        for spec in self.components:
-            if not spec.label.startswith("quantum"):
-                power += spec.asd**2
-                found = True
-        if not found:
-            raise DomainError("budget has no thermal components")
-        return np.sqrt(power)
-
 
 # ---------------------------------------------------------------------------
 # Component spectra
 # ---------------------------------------------------------------------------
-
-def _checked_grid(grid_hz) -> np.ndarray:
-    grid = np.asarray(grid_hz, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ShapeError("grid must be a 1-d array")
-    if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
-        raise DomainError("grid must be positive and finite (0 Hz is not allowed)")
-    return grid
-
 
 def suspension_thermal_asd(
     modes: list[Mode],
@@ -249,36 +233,17 @@ def quantum_noise_asd(cavity: Cavity, mass: float, grid_hz) -> NoiseSpectrum:
 
 def total_budget(components: list[NoiseSpectrum], mass: float, grid_hz) -> Budget:
     """Quadrature-sum the components and attach the SQL reference."""
-    if not components:
-        raise ShapeError("at least one component is required")
-    grid = _checked_grid(grid_hz)
-    power = np.zeros_like(grid)
-    for spec in components:
-        if spec.frequencies.shape != grid.shape or not np.array_equal(
-            spec.frequencies, grid
-        ):
-            raise ShapeError(f"component {spec.label!r} is not on the budget grid")
-        power += spec.asd**2
-    total = NoiseSpectrum(grid, np.sqrt(power), "total")
-    return Budget(tuple(components), total, sql_asd(mass, grid))
+    return Budget(tuple(components), sql_asd(mass, grid_hz))
 
 
-def sub_sql_band(budget: Budget, which: str = "thermal-only") -> list[tuple[float, float]]:
-    """Maximal frequency intervals [Hz] where the spectrum is below the SQL.
+def sub_sql_band(budget: Budget) -> list[tuple[float, float]]:
+    """Maximal frequency intervals [Hz] where the budget's total is below the SQL.
 
-    which = "thermal-only" compares the quadrature sum of the thermal
-    components (the budget's quantum/readout traces excluded); "total"
-    compares the full total.  Band edges between grid points are
-    interpolated linearly in log-log space.
+    Band edges between grid points are interpolated linearly in log-log
+    space.
     """
-    if which == "thermal-only":
-        asd = budget.thermal_rss()
-    elif which == "total":
-        asd = budget.total.asd
-    else:
-        raise DomainError(f"which must be 'thermal-only' or 'total', got {which!r}")
     freqs = budget.frequencies
-    log_ratio = np.log(asd) - np.log(budget.sql.asd)
+    log_ratio = np.log(budget.total.asd) - np.log(budget.sql.asd)
     below = log_ratio < 0.0
 
     def crossing(i: int, j: int) -> float:

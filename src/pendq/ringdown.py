@@ -152,9 +152,10 @@ def synthesize_ringdown(
 
     tau = Q/(pi f0); q = inf gives a constant envelope.  drift_uhz, if
     set, makes the instantaneous frequency wander slowly (correlation
-    time ~20 s) with that RMS in microhertz, the scale real suspensions
-    drift by.  Deterministic for a fixed seed and parameter set.  A
-    record of more than MAX_SYNTH_SAMPLES samples is a DomainError.
+    time ~20 s, or the whole record if shorter) with that RMS in
+    microhertz, the scale real suspensions drift by.  Deterministic for
+    a fixed seed (>= 0) and parameter set.  A record of more than
+    MAX_SYNTH_SAMPLES samples is a DomainError.
     """
     _require_positive("f0", f0)
     if not q > 0.0:
@@ -162,8 +163,11 @@ def synthesize_ringdown(
     _require_positive("sample_rate", sample_rate)
     _require_positive("duration", duration)
     _require_finite("amplitude", amplitude)
-    if noise_rms < 0.0:
-        raise DomainError(f"noise_rms must be >= 0, got {noise_rms}")
+    _require_nonnegative("noise_rms", noise_rms)
+    if drift_uhz is not None:
+        _require_nonnegative("drift_uhz", drift_uhz)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     if sample_rate < 4.0 * f0:
         raise DomainError(
             f"sample_rate {sample_rate} Hz under-samples f0 = {f0} Hz (need >= 4 f0)"
@@ -184,7 +188,7 @@ def synthesize_ringdown(
     phi = 2.0 * math.pi * f0 * t
     if drift_uhz is not None and drift_uhz > 0.0:
         white = rng.standard_normal(n)
-        window = max(3, int(round(20.0 * sample_rate)))
+        window = min(max(3, int(round(20.0 * sample_rate))), n)
         kernel = np.ones(window) / window
         slow = np.convolve(white, kernel, mode="same")
         sd = slow.std()
@@ -425,6 +429,7 @@ def measure_q(
         traces = [traces]
     if not traces:
         raise InsufficientDataError("no traces given")
+    _require_positive("bandwidth", bandwidth)
     if settle_seconds is None:
         settle_seconds = SETTLE_BANDWIDTHS / bandwidth
     else:

@@ -61,7 +61,7 @@ def test_04_sub_sql_thermal_band():
         ),
     ]
     budget = bd.total_budget(components, MASS.mass, grid)
-    bands = bd.sub_sql_band(budget, "thermal-only")
+    bands = bd.sub_sql_band(budget)
     containing_1khz = [b for b in bands if b[0] <= 1000.0 <= b[1]]
     assert len(containing_1khz) == 1
     lo, hi = containing_1khz[0]

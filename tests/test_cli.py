@@ -513,3 +513,54 @@ def test_memory_error_exits_4(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(ringdown_mod, "synthesize_ringdown", exhausted)
     assert cli.main(["ringdown", "synth", "--out", str(tmp_path / "x.csv")]) == 4
     assert "analysis error: MemoryError: cannot allocate" in capsys.readouterr().err
+
+
+# EXTREME_VALUES spells infinity and NaN as YAML does; the synth flags
+# are parsed by float(), which spells them "inf" and "nan"
+_FLOAT_SPELLING = {".inf": "inf", ".nan": "nan"}
+SYNTH_FLAGS = (
+    "--f0", "--q", "--sample-rate", "--duration", "--amplitude", "--noise-rms", "--drift-uhz"
+)
+
+
+@pytest.mark.filterwarnings("ignore")  # extreme inputs overflow and warn
+@pytest.mark.parametrize("value", EXTREME_VALUES)
+@pytest.mark.parametrize("flag", SYNTH_FLAGS)
+def test_ringdown_synth_extreme_flags_exit_cleanly(flag, value, tmp_path, capsys):
+    # at the default 240 s and 50 Hz each case writes 12 000 samples or is
+    # refused before anything is allocated
+    value = _FLOAT_SPELLING.get(value, value)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["ringdown", "synth", f"{flag}={value}", "--out", str(out)])
+    assert rc in (0, 4), (flag, value, rc)
+    assert "Traceback" not in capsys.readouterr().err
+    if rc == 0:
+        assert len(out.read_text().splitlines()) == 12_001
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--noise-rms=nan", "noise_rms must be finite"),
+        ("--drift-uhz=nan", "drift_uhz must be finite"),
+        ("--drift-uhz=-1", "drift_uhz must be >= 0"),
+        ("--seed=-1", "seed must be >= 0"),
+    ],
+)
+def test_ringdown_synth_rejects_bad_arguments(flag, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["ringdown", "synth", flag, "--out", str(out)]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ringdown_synth_short_drifting_record(tmp_path, capsys):
+    plain, drifting = tmp_path / "plain.csv", tmp_path / "drift.csv"
+    base = ["ringdown", "synth", "--duration", "5", "--seed", "3"]
+    assert cli.main([*base, "--out", str(plain)]) == 0
+    assert cli.main([*base, "--drift-uhz", "1", "--out", str(drifting)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    plain_rows = plain.read_text().splitlines()
+    drift_rows = drifting.read_text().splitlines()
+    assert len(plain_rows) == len(drift_rows) == 251
+    assert plain_rows != drift_rows

@@ -417,3 +417,10 @@ def test_synthesize_sample_bound():
         rd.synthesize_ringdown(2.2, 2000.0, 50.0, too_long)
     # the bound admits a 7-day 50 Hz record
     assert 7 * 86400 * 50 <= rd.MAX_SYNTH_SAMPLES
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.5, math.nan])
+def test_measure_q_rejects_bad_bandwidth(bandwidth):
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0)
+    with pytest.raises(DomainError, match="bandwidth"):
+        rd.measure_q(trace, 2.2, bandwidth, 20.0)

@@ -54,10 +54,9 @@ def _reference_fmt_cells(data, to_pixel) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), -1)
 
 
-def _reference_band(budget, which="thermal-only"):
-    asd = budget.thermal_rss() if which == "thermal-only" else budget.total.asd
+def _reference_band(budget):
     freqs = budget.frequencies
-    log_ratio = np.log(asd) - np.log(budget.sql.asd)
+    log_ratio = np.log(budget.total.asd) - np.log(budget.sql.asd)
     below = log_ratio < 0.0
 
     def crossing(i, j):
@@ -250,7 +249,7 @@ def _budget_of(signs, magnitudes):
     sql = NoiseSpectrum(grid, 1e-18 * (grid / 10.0) ** -1.0, "SQL")
     asd = sql.asd * np.exp(np.array(signs) * np.resize(magnitudes, len(signs)))
     thermal = NoiseSpectrum(grid, asd, "suspension thermal")
-    return Budget((thermal,), NoiseSpectrum(grid, asd, "total"), sql)
+    return Budget((thermal,), sql)
 
 
 @settings(max_examples=400, deadline=None)
@@ -266,6 +265,5 @@ def _budget_of(signs, magnitudes):
 @example([1.0, -1.0], [0.1])
 def test_sub_sql_band_matches_loop(signs, magnitudes):
     budget = _budget_of(signs, magnitudes)
-    for which in ("thermal-only", "total"):
-        assert bud.sub_sql_band(budget, which) == _reference_band(budget, which)
+    assert bud.sub_sql_band(budget) == _reference_band(budget)
 
