@@ -200,8 +200,9 @@ def cmd_ringdown_synth(args) -> int:
 
 
 def _read_trace(path: str) -> ringdown_mod.RingdownTrace:
-    # the text goes out of scope here, so it is freed before the fit runs
-    with open(path, "r", encoding="utf-8") as fh:
+    # the text goes out of scope here, so it is freed before the fit runs;
+    # utf-8-sig drops the byte order mark spreadsheets put before the header
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

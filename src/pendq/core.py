@@ -1,5 +1,6 @@
 """Physical constants, materials, and geometry types shared by all modules,
-and the exact number-cell writers behind every CSV, JSON and SVG output.
+the exact number-cell writers behind every CSV, JSON and SVG output, and
+the exact reader of the CSV rows those writers produce.
 
 Unit conventions used throughout the package:
   * SI units everywhere; spectra and rates are functions of angular
@@ -265,7 +266,7 @@ def thermal_decoherence_rate(temperature: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact number cells for the CSV, JSON and SVG writers
+# Exact number cells for the CSV, JSON and SVG writers, and back
 # ---------------------------------------------------------------------------
 
 # exact float64 powers of ten: 10^k is representable for k <= 22
@@ -345,6 +346,87 @@ def _csv_float_bytes(values) -> np.ndarray:
     if bad.size:
         cells = _put_exact(cells, bad, [_CSV_FLOAT % v for v in x[bad].tolist()])
     return cells
+
+
+def _word(octets: bytes) -> np.uint64:
+    """The 8 bytes as one little-endian word."""
+    return np.uint64(int.from_bytes(octets, "little"))
+
+
+# _csv_float_pairs reads a cell as two words from its first digit:
+# head = d0 "." d1..d6 and tail = d7 d8 "e" sign x1 x2, then x3 or the
+# cell's end.  Xor with the template leaves digit values in digit bytes
+# and 0 in fixed bytes; adding 0x76 to a digit byte (0x7f to a fixed
+# byte) sets its high bit iff it is out of range.  The bytes are ASCII,
+# so no carry crosses a byte.
+_HEAD, _HEAD_ADD = _word(b"0.000000"), _word(b"\x76\x7f\x76\x76\x76\x76\x76\x76")
+_TAIL, _TAIL_ADD = _word(b"00e\0" b"00\0\0"), _word(b"\x76\x76\x7f\0\x76\x76\0\0")
+_HEAD_HIGH, _TAIL_HIGH = _word(b"\x80" * 8), _word(b"\x80\x80\x80\0\x80\x80\0\0")
+
+
+_LANES = _word(b"\xff\0\0\0\xff\0\0\0")  # bytes 0 and 4
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """Values of 8 decimal digits, one per byte of each word, first digit lowest."""
+    v = v * np.uint64(10) + (v >> np.uint64(8))  # 2-digit values in bytes 0, 2, 4, 6
+    low, high = v & _LANES, (v >> np.uint64(16)) & _LANES
+    # 4-digit values in the two halves; the high half then holds the 8-digit value
+    v = low * np.uint64(100 + (1_000_000 << 32)) + high * np.uint64(1 + (10_000 << 32))
+    return v >> np.uint64(32)
+
+
+def _csv_float_pairs(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two columns of rows of two _CSV_FLOAT cells, or None if a row is not one.
+
+    The reading mirror of _csv_float_bytes.  A canonical row is two cells
+    [-]d.dddddddde±dd[d] joined by "," and ended by "\\n"; any other text
+    (CRLF, spaces, "1_0", "nan", short cells, non-ASCII) gives None, and
+    the caller takes a general parser.  A cell is its 9-digit integer
+    times 10^k, k = exponent - 8; for |k| <= 22 that is one correctly
+    rounded multiply or divide of exact operands (Clinger, PLDI 1990),
+    so the value is float()'s, bit for bit.  Cells with larger |k| take
+    float() one by one.
+    """
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    raw = (text + "\0" * 16).encode("ascii")
+    n = len(text)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # 16 bytes from every position: the two words of a cell
+    windows = np.ndarray((n + 1,), dtype="V16", buffer=raw, strides=(1,))
+    ends = np.flatnonzero(buf[:n] == ord("\n"))
+    start = np.concatenate(([0], ends[:-1] + 1))
+    columns = []
+    for sep in (",", "\n"):
+        neg = buf[start] == ord("-")
+        first = start + neg
+        words = windows[first].view("<u8").reshape(-1, 2)
+        head, tail = words[:, 0] ^ _HEAD, words[:, 1] ^ _TAIL
+        tail_bytes = tail.view(np.uint8).reshape(-1, 8)
+        sign, x3 = tail_bytes[:, 3], tail_bytes[:, 6]
+        three = x3 - np.uint8(ord("0")) < 10  # a 3-digit exponent
+        end = first + 14 + three
+        if (
+            (((head + _HEAD_ADD) & _HEAD_HIGH) | ((tail + _TAIL_ADD) & _TAIL_HIGH)).any()
+            or not ((sign == ord("+")) | (sign == ord("-"))).all()
+            or not (np.array_equal(end, ends) if sep == "\n" else (buf[end] == ord(sep)).all())
+        ):
+            return None
+        sig = ((head & np.uint64(0xFF)) * np.uint64(10**8)
+               + _eight_digits((head >> np.uint64(16)) | (tail << np.uint64(48))))
+        values = sig.astype(float) * (1.0 - 2.0 * neg)
+        # k + 22 mod 256, as 44 - sign is 1 for "+" and 255, that is -1, for "-"
+        k22 = (tail_bytes[:, 4] * np.uint8(10) + tail_bytes[:, 5]) * (np.uint8(44) - sign)
+        k22 += np.uint8(14)
+        values = _times_pow10(values, np.minimum(k22, 44).astype(np.intp) - 22)
+        slow = np.flatnonzero((k22 > 44) | three)
+        if slow.size:
+            cells = zip(start[slow].tolist(), end[slow].tolist())
+            values[slow] = [float(raw[i:j]) for i, j in cells]
+        columns.append(values)
+        start = end + 1
+    return tuple(columns)
 
 
 # _json_float_bytes lays a cell out from one source row per value:

@@ -31,6 +31,7 @@ from .core import (
     ShapeError,
     _cell_rows,
     _csv_float_bytes,
+    _csv_float_pairs,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -484,10 +485,11 @@ def trace_to_csv(trace: RingdownTrace) -> str:
 
 # ASCII line ends of str.splitlines() that np.loadtxt reads as field text
 _OTHER_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e"
+_FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
 
 
 def _parse_rows(text: str) -> np.ndarray:
-    """(rows, columns) floats of a run of whole CSV lines; blank lines skip.
+    """(rows, 2) floats of a run of whole CSV lines; blank lines skip.
 
     np.loadtxt reads each field with the same correctly rounded parser
     as float(), so values are bit-identical to float() per field.  Text
@@ -504,20 +506,36 @@ def _parse_rows(text: str) -> np.ndarray:
         except ValueError:
             pass
         else:
-            return rows if rows.size else np.empty((0, 2))
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+            if not rows.size:
+                return np.empty((0, 2))
+            if rows.shape[1] != 2:
+                raise DomainError(_FIELD_COUNT_ERROR.format(rows.shape[1]))
+            return rows
+    cells = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    for row in cells:
+        if len(row) != 2:
+            raise DomainError(_FIELD_COUNT_ERROR.format(len(row)))
     try:
-        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines], dtype=float)
+        return np.array([[float(c) for c in row] for row in cells], dtype=float).reshape(-1, 2)
     except ValueError as exc:
         raise DomainError(f"malformed trace CSV row: {exc}") from exc
-    return rows if lines else np.empty((0, 2))
 
 
 def trace_from_csv(text: str) -> RingdownTrace:
-    """Parse a time_s,value CSV; the time column must be uniform.
+    """Parse a time_s,value CSV; the times must be finite and uniform.
 
-    The body is parsed in slices of about _CSV_SLICE_CHARS characters,
-    cut after a newline, into one preallocated (rows, 2) array.
+    Leading whitespace and blank lines are skipped, and every line end
+    str.splitlines() knows ends a row.  The body is read in slices of
+    about _CSV_SLICE_CHARS characters, cut after a newline, into
+    preallocated time and sample arrays.  A slice of the rows
+    trace_to_csv writes takes the exact vectorised reader
+    _csv_float_pairs; any other slice takes _parse_rows.  Either way
+    every value is bit-identical to float() of its field, and the
+    accepted syntax and the errors are those of the per-line parse.
+
+    Raises DomainError for a missing header, a row without exactly 2
+    numeric fields, fewer than 2 rows, and non-finite, unordered or
+    non-uniform times.
     """
     text = text.lstrip()
     newline = text.find("\n")
@@ -526,31 +544,38 @@ def trace_from_csv(text: str) -> RingdownTrace:
     if not head or head[0].strip() != TRACE_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_HEADER!r}")
     pos = len(head[0])
-    rows = np.empty((text.count("\n", pos) + 1, 2))
+    size = text.count("\n", pos) + 1
+    times, samples = np.empty(size), np.empty(size)
     filled = 0
     while pos < len(text):
         end = text.find("\n", pos + _CSV_SLICE_CHARS)
         end = len(text) if end < 0 else end + 1
-        part = _parse_rows(text[pos:end])
+        part = text[pos:end]
         pos = end
-        if part.shape[0] and part.shape[1] != 2:
-            raise DomainError("trace CSV needs >= 2 rows of time_s,value")
-        if filled + part.shape[0] > rows.shape[0]:  # lines ended by a lone CR
-            rows = np.concatenate([rows[:filled], np.empty((part.shape[0], 2))])
-        rows[filled : filled + part.shape[0]] = part
-        filled += part.shape[0]
+        columns = _csv_float_pairs(part)
+        if columns is None:
+            columns = _parse_rows(part).T
+        rows = len(columns[0])
+        if filled + rows > size:  # lines ended by a lone CR
+            size = filled + rows
+            times = np.concatenate([times[:filled], np.empty(rows)])
+            samples = np.concatenate([samples[:filled], np.empty(rows)])
+        times[filled : filled + rows], samples[filled : filled + rows] = columns
+        filled += rows
     if filled < 2:
         raise DomainError("trace CSV needs >= 2 rows of time_s,value")
-    t = rows[:filled, 0]
-    dt = np.diff(t)
+    if not np.all(np.isfinite(times[:filled])):
+        raise DomainError("trace times must be finite")
+    start_time = float(times[0])
+    dt = np.diff(times[:filled])
+    del times  # freed before the step checks allocate their own row-sized arrays
     if np.any(dt <= 0.0):
         raise DomainError("trace times must be strictly increasing")
     step = float(np.median(dt))
-    if np.any(np.abs(dt - step) > 1e-6 * step):
+    dt -= step
+    if np.any(np.abs(dt, out=dt) > 1e-6 * step):
         raise DomainError("trace times must be uniformly sampled")
-    # a contiguous copy, so the (rows, 2) buffer is freed on return
-    samples = np.ascontiguousarray(rows[:filled, 1])
-    return RingdownTrace(sample_rate=1.0 / step, samples=samples, start_time=float(t[0]))
+    return RingdownTrace(sample_rate=1.0 / step, samples=samples[:filled], start_time=start_time)
 
 
 def fit_to_json(fit: RingdownFit) -> str:

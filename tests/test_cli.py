@@ -221,6 +221,43 @@ def test_ringdown_fit_non_utf8_trace(tmp_path, capsys):
     assert "malformed trace CSV" in capsys.readouterr().err
 
 
+def test_ringdown_fit_reads_a_byte_order_mark(tmp_path, capsys):
+    assert cli.main(["ringdown", "fit", str(FIXTURE)]) == 0
+    expected = capsys.readouterr().out
+    marked = tmp_path / "excel.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+    assert cli.main(["ringdown", "fit", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" \ufefftime_s,value\n0,1\n1,2\n", "time_s,value\n\ufeff0,1\n1,2\n"],
+    ids=["after-whitespace", "before-a-row"],
+)
+def test_ringdown_fit_rejects_a_byte_order_mark_elsewhere(text, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text(text, encoding="utf-8")
+    assert cli.main(["ringdown", "fit", str(trace)]) == 4
+    assert "analysis error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1\nnan,2\n", "trace times must be finite"),
+        ("0,1\n1e400,2\n", "trace times must be finite"),
+        ("0,1,5\n1,2,5\n", "trace CSV rows need 2 fields (time_s,value), got 3"),
+        ("0\n1\n", "trace CSV rows need 2 fields (time_s,value), got 1"),
+    ],
+)
+def test_ringdown_fit_trace_errors_exit_4(body, message, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("time_s,value\n" + body)
+    assert cli.main(["ringdown", "fit", str(trace)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_q_ideal_scaling(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(

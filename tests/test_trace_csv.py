@@ -5,7 +5,9 @@ writer and the sliced parser replaced; both must agree with them
 exactly, bytes out and bits in.
 """
 
+import contextlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from pendq import DomainError
 from pendq import ringdown as rd
-from pendq.core import _CSV_FLOAT, _csv_float_bytes
+from pendq.core import _CSV_FLOAT, _csv_float_bytes, _csv_float_pairs
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 
@@ -38,6 +40,17 @@ def _outcome(parse, text):
     except DomainError:
         return "DomainError"
     return trace.sample_rate, trace.start_time, trace.samples.tobytes()
+
+
+@contextlib.contextmanager
+def _slice_chars(chars):
+    """rd._CSV_SLICE_CHARS set for a block; hypothesis tests cannot take monkeypatch."""
+    old = rd._CSV_SLICE_CHARS
+    rd._CSV_SLICE_CHARS = chars
+    try:
+        yield
+    finally:
+        rd._CSV_SLICE_CHARS = old
 
 
 def _reference_trace(text: str) -> rd.RingdownTrace:
@@ -185,9 +198,158 @@ _TOKENS = ["0", "1", "2", "0.5", "-1", "1e0", "1_0", "nan", "inf", " ", "\t", ",
 def test_trace_from_csv_matches_per_line_reference(prefix, header, end, tokens, slice_chars):
     rows = "\n".join(f"{k * 0.25},{k}" for k in range(4))
     text = prefix + header + end + rows + "".join(tokens)
-    old = rd._CSV_SLICE_CHARS
-    rd._CSV_SLICE_CHARS = slice_chars
-    try:
+    with _slice_chars(slice_chars):
         assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
-    finally:
-        rd._CSV_SLICE_CHARS = old
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time_s,value\n0,1,5\n1,2,5\n", "got 3"),
+        ("time_s,value\n0\n1\n2\n", "got 1"),
+        ("time_s,value\n0,1\n1,2,3\n2,3\n", "got 3"),                # ragged
+        ("time_s,value\r\n0,1,5\r\n1,2,5\r\n", "got 3"),            # per-line parse
+        ("time_s,value\n0.00000000e+00,1.00000000e+00,2.00000000e+00\n"
+         "1.00000000e+00,1.00000000e+00,2.00000000e+00\n", "got 3"),
+    ],
+)
+def test_trace_csv_names_the_field_count(text, message):
+    with pytest.raises(DomainError, match=r"rows need 2 fields \(time_s,value\), " + message):
+        rd.trace_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "time_s,value\n0,1\nnan,2\n",
+        "time_s,value\n0,1\n1,2\ninf,3\n",
+        "time_s,value\n-inf,1\n0,2\n",
+        "time_s,value\n0,1\n1e400,2\n",                                # overflows to inf
+        "time_s,value\n0.00000000e+00,1.00000000e+00\n1.00000000e+400,2.00000000e+00\n",
+    ],
+)
+def test_trace_csv_rejects_non_finite_times(text):
+    with pytest.raises(DomainError, match="trace times must be finite"):
+        rd.trace_from_csv(text)
+
+
+# ---------------------------------------------------------------------------
+# exact reader of canonical rows
+# ---------------------------------------------------------------------------
+
+# arbitrary finite floats, and the cells a noise-free record has at its
+# cosine zeros (about 1e-17: beyond the one-op range of the reader)
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=-1e-15, max_value=1e-15),
+    _NEAR_TIES,
+    _SCALED_TIES,
+    _NEAR_POWERS,
+)
+
+
+def _float_columns(text):
+    """Bytes of float() of every cell of the CSV rows, column by column."""
+    rows = [line.split(",") for line in text.splitlines()]
+    return [np.array([float(c) for c in column]).tobytes() for column in zip(*rows)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=40))
+@example([(0.0, -0.0), (5e-324, -2.2250738585072014e-308), (1e-310, -1e-17)])
+@example([(1.7976931348623157e308, -1e100), (9.9999999995e99, 1e-99), (1e22, 1e23)])
+@example([(6.123233995736766e-17, -1.8369701987210297e-16), (1e-14, 1e30), (1e31, 1e-15)])
+def test_csv_float_pairs_match_float(pairs):
+    text = "".join(f"{_CSV_FLOAT % a},{_CSV_FLOAT % b}\n" for a, b in pairs)
+    columns = _csv_float_pairs(text)
+    assert columns is not None
+    assert [column.tobytes() for column in columns] == _float_columns(text)
+
+
+_CELL = r"-?[0-9]\.[0-9]{8}e[+-][0-9]{2,3}"
+_CANONICAL_ROW = re.compile(f"{_CELL},{_CELL}\n")
+_EDITS = {
+    "replace": lambda text, i, c: text[:i] + c + text[i + 1 :],
+    "insert": lambda text, i, c: text[:i] + c + text[i:],
+    "delete": lambda text, i, c: text[:i] + text[i + 1 :],
+}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4),
+    st.integers(min_value=0),
+    st.sampled_from(sorted(_EDITS)),
+    st.sampled_from(list("0123456789+-.eE,;_ /)*\t\r\n\x00\x0c\u00e9")),
+)
+def test_csv_float_pairs_take_only_canonical_rows(pairs, where, edit, char):
+    text = "".join(f"{_CSV_FLOAT % a},{_CSV_FLOAT % b}\n" for a, b in pairs)
+    text = _EDITS[edit](text, where % len(text), char)
+    columns = _csv_float_pairs(text)
+    rows = text.splitlines(keepends=True)
+    if not all(_CANONICAL_ROW.fullmatch(row) for row in rows):
+        assert columns is None
+    else:
+        assert columns is not None
+        assert [column.tobytes() for column in columns] == _float_columns(text)
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_FINITE, min_size=2, max_size=120),
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.one_of(st.floats(min_value=-1e9, max_value=1e9), st.sampled_from([0.0, -0.0, 1e-17])),
+)
+def test_trace_round_trip_matches_reference(slice_chars, samples, sample_rate, start_time):
+    trace = rd.RingdownTrace(sample_rate, samples, start_time=start_time)
+    text = rd.trace_to_csv(trace)
+    with _slice_chars(slice_chars):
+        assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+
+
+def _crlf(line):
+    return line.replace("\n", "\r\n")
+
+
+def _spaced(line):
+    return " " + line.replace(",", " ,\t")
+
+
+def _grouped(line):
+    time, value = line.split(",")
+    cut = value.index("e") - 1  # between the last two significand digits
+    return f"{time},{value[:cut]}_{value[cut:]}"
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("splice", [_crlf, _spaced, _grouped])
+def test_spliced_row_matches_reference(slice_chars, splice):
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 30.0, noise_rms=0.4, seed=5)
+    lines = rd.trace_to_csv(trace).splitlines(keepends=True)
+    k = len(lines) // 2
+    lines[k] = splice(lines[k])
+    assert _csv_float_pairs(lines[k]) is None
+    text = "".join(lines)
+    with _slice_chars(slice_chars):
+        assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+
+
+def test_writer_output_never_reaches_loadtxt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt read rows trace_to_csv wrote")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", 4096)
+    t = np.arange(3000) / 50.0
+    traces = [
+        rd.synthesize_ringdown(2.2, 2000.0, 50.0, 60.0, noise_rms=0.4, seed=3, drift_uhz=50.0),
+        # noise-free at 2.5 Hz: a cosine zero every 5 samples, cells near 1e-17
+        rd.RingdownTrace(50.0, np.exp(-t / 30.0) * np.cos(2 * np.pi * 2.5 * t), -100.0),
+        # 3-digit exponents, subnormals and signed zeros
+        rd.RingdownTrace(1e-3, [1e-310, -1e300, 0.0, -0.0, 5e-324, 1e-17], start_time=1e5),
+    ]
+    texts = [rd.trace_to_csv(trace) for trace in traces] + [FIXTURE.read_text()]
+    for text in texts:
+        assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
