@@ -272,13 +272,12 @@ def model_components(
     model: PendulumModel,
     names,
     grid_hz,
-    n_violin: int,
     cavity: Cavity | None = None,
 ) -> list[NoiseSpectrum]:
     """The named components of one pendulum model's budget, in order.
 
     names are drawn from COMPONENT_NAMES: "suspension" (pendulum, pitch
-    and the first n_violin violin modes), "mirror" (substrate + coating
+    and the model's violin modes), "mirror" (substrate + coating
     of the fiber material) and "quantum" (needs the readout cavity).
     The thermal components take the temperature of model.env.
     """
@@ -287,8 +286,7 @@ def model_components(
     spectra = []
     for name in names:
         if name == "suspension":
-            modes = suspension_modes(model, n_violin=n_violin)
-            spectra.append(suspension_thermal_asd(modes, temperature, grid_hz))
+            spectra.append(suspension_thermal_asd(suspension_modes(model), temperature, grid_hz))
         elif name == "mirror":
             spectra.append(
                 mirror_thermal_asd(
@@ -311,11 +309,9 @@ def model_components(
     return spectra
 
 
-def thermal_sub_sql_band(
-    model: PendulumModel, grid_hz, n_violin: int
-) -> list[tuple[float, float]]:
+def thermal_sub_sql_band(model: PendulumModel, grid_hz) -> list[tuple[float, float]]:
     """Sub-SQL band [Hz] of the model's suspension + mirror thermal noise."""
-    components = model_components(model, ("suspension", "mirror"), grid_hz, n_violin)
+    components = model_components(model, ("suspension", "mirror"), grid_hz)
     return sub_sql_band(total_budget(components, model.test_mass.mass, grid_hz))
 
 

@@ -65,6 +65,14 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_budget(args) -> int:
+    if args.overlay is not None:
+        # the survey figure draws no spectrum, so it computes none
+        if args.format != "svg":
+            raise ConfigError("--overlay requires --format svg")
+        if args.components is not None:
+            raise ConfigError("--overlay draws no budget, so it takes no --components")
+        _write_text(args.out, _survey_svg(load_config(args.config, args.set), args.overlay))
+        return EXIT_OK
     cfg = load_config(args.config, args.set)
     grid = cfg.grid()
     if args.components is None:
@@ -73,39 +81,32 @@ def cmd_budget(args) -> int:
             names.append("quantum")
     else:
         names = [n.strip() for n in args.components.split(",") if n.strip()]
-    components = budget_mod.model_components(
-        cfg.model, names, grid, cfg.violin_mode_count, cavity=cfg.cavity
-    )
+    components = budget_mod.model_components(cfg.model, names, grid, cavity=cfg.cavity)
     if components:
-        bud = budget_mod.total_budget(components, cfg.test_mass.mass, grid)
+        bud = budget_mod.total_budget(components, cfg.model.test_mass.mass, grid)
         spectra = [*bud.components, bud.total, bud.sql]
     else:
-        spectra = [budget_mod.sql_asd(cfg.test_mass.mass, grid)]
-    if args.overlay is not None and args.format != "svg":
-        raise ConfigError("--overlay requires --format svg")
+        spectra = [budget_mod.sql_asd(cfg.model.test_mass.mass, grid)]
     if args.format == "csv":
         text = budget_mod.spectra_to_csv(spectra)
     elif args.format == "json":
         text = budget_mod.spectra_to_json(spectra)
     else:
-        text = _budget_svg(cfg, spectra, args.overlay)
-    _write_text(args.out, text)
-    return EXIT_OK
-
-
-def _budget_svg(cfg: ExperimentConfig, spectra, overlay_path: str | None) -> str:
-    if overlay_path is None:
-        curves = [Curve(s.label, s.frequencies, s.asd) for s in spectra]
-        return render_loglog(
-            curves,
+        text = render_loglog(
+            [Curve(s.label, s.frequencies, s.asd) for s in spectra],
             title="Displacement noise budget",
             xlabel="frequency [Hz]",
             ylabel="displacement ASD [m/Hz^1/2]",
         )
+    _write_text(args.out, text)
+    return EXIT_OK
+
+
+def _survey_svg(cfg: ExperimentConfig, overlay_path: str) -> str:
     points = _read_overlay(overlay_path)
     mode = pendulum_mode(cfg.model)
     gamma = mode.frequency / mode.quality_factor
-    star = Point("this configuration", cfg.test_mass.mass, gamma)
+    star = Point("this configuration", cfg.model.test_mass.mass, gamma)
     return render_loglog(
         [],
         title="Dissipation rate vs suspended mass",
@@ -147,7 +148,7 @@ def _read_overlay(path: str) -> list[Point]:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config, args.set)
-    band = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid(), cfg.violin_mode_count)
+    band = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid())
     report = effective_requirements(cfg.model, cfg.cavity, band)
     eff = report.effective
     print(f"pendulum:    f_m = {eff.omega_m / (2 * math.pi):.4g} Hz, Q_m = {eff.q_m:.3g}")
@@ -226,20 +227,21 @@ def cmd_ringdown_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _metric_q_ideal(cfg: ExperimentConfig) -> float:
+    model = cfg.model
     return diluted_pendulum_q(
-        cfg.fiber, cfg.test_mass.mass, material_q(cfg.fiber, cfg.env)
+        model.fiber, model.test_mass.mass, material_q(model.fiber, model.env)
     )
 
 
 def _metric_eq2_edge(cfg: ExperimentConfig) -> float:
     mode = pendulum_mode(cfg.model)
     return measurement_band_edge(
-        mode.frequency, mode.quality_factor, cfg.env.temperature
+        mode.frequency, mode.quality_factor, cfg.model.env.temperature
     )
 
 
 def _widest_sub_sql_band(cfg: ExperimentConfig) -> tuple[float, float]:
-    bands = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid(), cfg.violin_mode_count)
+    bands = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid())
     if not bands:
         return (math.nan, math.nan)
     return max(bands, key=lambda b: b[1] / b[0])
@@ -254,7 +256,7 @@ def _metric_sub_sql_hi(cfg: ExperimentConfig) -> float:
 
 
 def _metric_f_violin1(cfg: ExperimentConfig) -> float:
-    return violin_modes(cfg.fiber, cfg.test_mass.mass, 1)[0].frequency_hz
+    return violin_modes(cfg.model.fiber, cfg.model.test_mass.mass, 1)[0].frequency_hz
 
 
 def _metric_omega_eff(cfg: ExperimentConfig) -> float:

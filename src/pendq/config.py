@@ -202,20 +202,16 @@ def set_numeric(raw: dict, path: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration with the physics objects built from it."""
+    """Validated configuration, each section's object held once; model
+    holds the material, fiber, test_mass, environment and suspension."""
 
-    material: Material
-    fiber: Fiber
-    test_mass: TestMass
-    env: Environment
-    cavity: Cavity
     model: PendulumModel
+    cavity: Cavity
     grid_f_min: float
     grid_f_max: float
     grid_points: int
     # the ringdown section as measure_q keyword arguments, read-only
     ringdown: Mapping[str, float] = field(hash=False)
-    violin_mode_count: int
 
     def grid(self) -> np.ndarray:
         return log_grid(self.grid_f_min, self.grid_f_max, self.grid_points)
@@ -232,14 +228,13 @@ def build_config(raw: dict) -> ExperimentConfig:
     material = dict(raw["material"])
     q_ref = material["surface_q_reference"]
     material["surface_q_reference"] = (q_ref["q"], q_ref["radius"])
-    g, s = raw["grid"], raw["suspension"]
+    g = raw["grid"]
     try:
-        material = Material(**material)
-        fiber = Fiber(**raw["fiber"], material=material)
+        fiber = Fiber(**raw["fiber"], material=Material(**material))
         test_mass = TestMass(**raw["test_mass"])
         env = Environment(**raw["environment"])
         cavity = Cavity(**raw["cavity"])
-        model = PendulumModel(fiber, test_mass, env, measured_pendulum_q=s["measured_pendulum_q"])
+        model = PendulumModel(fiber, test_mass, env, **raw["suspension"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     ringdown = MappingProxyType({key: float(v) for key, v in raw["ringdown"].items()})
@@ -247,25 +242,20 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"grid: need 0 < f_min < f_max, got [{g['f_min']}, {g['f_max']}]")
     if not 2 <= g["points"] <= MAX_GRID_POINTS:
         raise ConfigError(f"grid.points: need 2..{MAX_GRID_POINTS}, got {g['points']}")
-    if not 0 <= s["violin_modes"] <= MAX_VIOLIN_MODES:
+    if not 0 <= model.violin_modes <= MAX_VIOLIN_MODES:
         raise ConfigError(
-            f"suspension.violin_modes: need 0..{MAX_VIOLIN_MODES}, got {s['violin_modes']}"
+            f"suspension.violin_modes: need 0..{MAX_VIOLIN_MODES}, got {model.violin_modes}"
         )
     for key, value in ringdown.items():
         if not value > 0:
             raise ConfigError(f"ringdown.{key}: need > 0, got {value}")
     return ExperimentConfig(
-        material=material,
-        fiber=fiber,
-        test_mass=test_mass,
-        env=env,
-        cavity=cavity,
         model=model,
+        cavity=cavity,
         grid_f_min=float(g["f_min"]),
         grid_f_max=float(g["f_max"]),
         grid_points=int(g["points"]),
         ringdown=ringdown,
-        violin_mode_count=int(s["violin_modes"]),
     )
 
 

@@ -163,7 +163,7 @@ class Fiber:
             warnings.warn(
                 f"fiber aspect ratio l/r = {self.length / self.radius:.1f} <= 100; "
                 "thin-fiber model may be inaccurate",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property
@@ -200,7 +200,7 @@ class TestMass:
         _require_positive("mass", self.mass)
         _require_positive("disk_radius", self.disk_radius)
         _require_positive("thickness", self.thickness)
-        _require_nonnegative("substrate_loss_angle", self.substrate_loss_angle)
+        _require_positive("substrate_loss_angle", self.substrate_loss_angle)
         _require_nonnegative("coating_loss_angle", self.coating_loss_angle)
         _require_nonnegative("coating_thickness", self.coating_thickness)
         _require_positive("beam_radius", self.beam_radius)
@@ -215,7 +215,7 @@ class TestMass:
                 warnings.warn(
                     f"mass {self.mass:.3g} kg differs from density*volume "
                     f"{implied:.3g} kg by {100 * mismatch:.0f}%",
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass __init__ to its caller
                 )
 
     @property

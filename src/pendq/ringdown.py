@@ -354,19 +354,17 @@ def fit_exponential(
     else:
         w = np.ones_like(y)
     a, b, var_b = _weighted_line_fit(t, y, w)
+    # reduced chi^2; MIN_FIT_BINS > 2 leaves at least one degree of freedom
+    chi2 = (((y - (a + b * t)) * np.sqrt(w)) ** 2).sum() / (y.size - 2)
     if not weighted:
         # estimate the error scale from the residuals instead
-        dof = y.size - 2
-        resid = y - (a + b * t)
-        var_b *= (resid**2).sum() / dof if dof > 0 else 0.0
+        var_b *= chi2
     if b >= 0.0:
         raise FitError(f"envelope is not decaying (fitted slope {b:.3g} >= 0)")
     tau = -1.0 / b
     sigma_b = math.sqrt(var_b)
     rel_err = sigma_b / abs(b)
-    resid = (y - (a + b * t)) * np.sqrt(w)
-    dof = max(y.size - 2, 1)
-    residual_norm = float(np.sqrt((resid**2).sum() / dof))
+    residual_norm = float(np.sqrt(chi2))
     if refine:
         tau, rel_err = _refine_nonlinear(binned, math.exp(a), tau, weighted)
     # exact-fit guard: the reported uncertainty must stay positive

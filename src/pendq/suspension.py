@@ -82,12 +82,14 @@ class Mode:
 
 @dataclass(frozen=True)
 class PendulumModel:
-    """Fiber + test mass + environment, with the optional measured Q."""
+    """Fiber + test mass + environment, with the optional measured Q and
+    the number of violin modes in the noise budget (none if <= 0)."""
 
     fiber: Fiber
     test_mass: TestMass
     env: Environment = Environment()
     measured_pendulum_q: float | None = None
+    violin_modes: int = 2
 
     def __post_init__(self):
         if self.measured_pendulum_q is not None:
@@ -449,10 +451,10 @@ def pitch_mode(model: PendulumModel) -> Mode:
     )
 
 
-def suspension_modes(model: PendulumModel, n_violin: int = 2) -> list[Mode]:
-    """Pendulum + pitch + first n_violin violin modes, for the noise budget."""
+def suspension_modes(model: PendulumModel) -> list[Mode]:
+    """Pendulum + pitch + the first model.violin_modes violin modes, for the noise budget."""
     modes = [pendulum_mode(model), pitch_mode(model)]
-    if n_violin >= 1:
+    if model.violin_modes >= 1:
         q_mat = material_q(model.fiber, model.env)
-        modes.extend(violin_modes(model.fiber, model.test_mass.mass, n_violin, q_mat))
+        modes.extend(violin_modes(model.fiber, model.test_mass.mass, model.violin_modes, q_mat))
     return modes

@@ -6,6 +6,7 @@ tolerance.  The conftest hook prints a PASS/FAIL line per test at the
 end of the run.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,9 @@ from pendq.config import load_config
 
 CONFIG = load_config()
 MODEL = CONFIG.model
-FIBER = CONFIG.fiber
-MASS = CONFIG.test_mass
-ENV = CONFIG.env
+FIBER = CONFIG.model.fiber
+MASS = CONFIG.model.test_mass
+ENV = CONFIG.model.env
 CAVITY = CONFIG.cavity
 
 TWO_PI = 2.0 * math.pi
@@ -49,13 +50,13 @@ def test_03_measurement_rate_band_edge():
 
 def test_04_sub_sql_thermal_band():
     grid = CONFIG.grid()
-    modes = susp.suspension_modes(MODEL, n_violin=CONFIG.violin_mode_count)
+    modes = susp.suspension_modes(MODEL)
     components = [
         bd.suspension_thermal_asd(modes, ENV.temperature, grid),
         bd.mirror_thermal_asd(
             MASS,
-            CONFIG.material.young_modulus,
-            CONFIG.material.poisson_ratio,
+            CONFIG.model.fiber.material.young_modulus,
+            CONFIG.model.fiber.material.poisson_ratio,
             ENV.temperature,
             grid,
         ),
@@ -134,7 +135,7 @@ def test_09_ringdown_statistics():
 def test_10_structural_damping_slope():
     # below the first violin resonance the thermal tail falls as 1/omega^2.5,
     # so doubling the frequency divides the ASD by 2^2.5
-    modes = susp.suspension_modes(MODEL, n_violin=0)  # pendulum + pitch
+    modes = susp.suspension_modes(dataclasses.replace(MODEL, violin_modes=0))  # pendulum + pitch
     omega_m = susp.pendulum_frequency(MODEL)
     f_violin1 = susp.violin_modes(FIBER, MASS.mass, 1)[0].frequency_hz
     f = np.geomspace(50.0 * omega_m / TWO_PI, 0.5 * f_violin1, 400)

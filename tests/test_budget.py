@@ -34,12 +34,12 @@ BANDS = (
 
 
 def _preset_components():
-    modes = susp.suspension_modes(MODEL, n_violin=2)
-    mat = CONFIG.material
+    modes = susp.suspension_modes(MODEL)
+    mat = CONFIG.model.fiber.material
     return [
         bud.suspension_thermal_asd(modes, 300.0, GRID),
         bud.mirror_thermal_asd(
-            CONFIG.test_mass, mat.young_modulus, mat.poisson_ratio, 300.0, GRID
+            CONFIG.model.test_mass, mat.young_modulus, mat.poisson_ratio, 300.0, GRID
         ),
     ]
 
@@ -161,9 +161,9 @@ def test_suspension_thermal_errors():
 
 
 def test_mirror_thermal_preset_value():
-    mat = CONFIG.material
+    mat = CONFIG.model.fiber.material
     spec = bud.mirror_thermal_asd(
-        CONFIG.test_mass, mat.young_modulus, mat.poisson_ratio, 300.0, GRID
+        CONFIG.model.test_mass, mat.young_modulus, mat.poisson_ratio, 300.0, GRID
     )
     assert math.isclose(spec.asd_at(1000.0), MIR_AT_1000, rel_tol=1e-9)
     # Brownian: ASD is a pure 1/sqrt(f) law
@@ -175,8 +175,8 @@ def test_mirror_thermal_preset_value():
 
 
 def test_mirror_thermal_coating_factor():
-    mat = CONFIG.material
-    tm = CONFIG.test_mass
+    mat = CONFIG.model.fiber.material
+    tm = CONFIG.model.test_mass
     bare = bud.mirror_thermal_asd(
         TestMass(
             mass=tm.mass,
@@ -205,20 +205,20 @@ def test_mirror_thermal_coating_factor():
 
 
 def test_sql_asd():
-    spec = bud.sql_asd(CONFIG.test_mass.mass, GRID)
+    spec = bud.sql_asd(CONFIG.model.test_mass.mass, GRID)
     assert math.isclose(spec.asd_at(1000.0), SQL_AT_1000, rel_tol=1e-12)
     # free-mass SQL falls exactly as 1/f
     np.testing.assert_allclose(
         spec.asd * spec.frequencies, spec.asd[0] * spec.frequencies[0], rtol=1e-12
     )
     # and scales as 1/sqrt(m)
-    heavier = bud.sql_asd(4 * CONFIG.test_mass.mass, GRID)
+    heavier = bud.sql_asd(4 * CONFIG.model.test_mass.mass, GRID)
     np.testing.assert_allclose(heavier.asd, spec.asd / 2, rtol=1e-12)
 
 
 def test_quantum_noise_touches_sql():
-    qn = bud.quantum_noise_asd(CONFIG.cavity, CONFIG.test_mass.mass, GRID)
-    sql = bud.sql_asd(CONFIG.test_mass.mass, GRID)
+    qn = bud.quantum_noise_asd(CONFIG.cavity, CONFIG.model.test_mass.mass, GRID)
+    sql = bud.sql_asd(CONFIG.model.test_mass.mass, GRID)
     ratio = qn.asd / sql.asd
     # imprecision/back-action product at the Heisenberg bound: >= SQL
     # everywhere, equality at the crossover
@@ -245,7 +245,7 @@ def test_quantum_noise_requires_probe():
 
 def test_total_budget_quadrature():
     components = _preset_components()
-    budget = bud.total_budget(components, CONFIG.test_mass.mass, GRID)
+    budget = bud.total_budget(components, CONFIG.model.test_mass.mass, GRID)
     manual = np.sqrt(sum(c.asd**2 for c in components))
     np.testing.assert_allclose(budget.total.asd, manual, rtol=1e-15)
     assert budget.sql.label == "SQL"
@@ -256,9 +256,9 @@ def test_budget_rejects_off_grid_component():
     other = bud.log_grid(10.0, 1e4, 500)
     stray = bud.suspension_thermal_asd(susp.suspension_modes(MODEL), 300.0, other)
     with pytest.raises(ShapeError):
-        bud.total_budget([components[0], stray], CONFIG.test_mass.mass, GRID)
+        bud.total_budget([components[0], stray], CONFIG.model.test_mass.mass, GRID)
     with pytest.raises(ShapeError):
-        bud.total_budget([], CONFIG.test_mass.mass, GRID)
+        bud.total_budget([], CONFIG.model.test_mass.mass, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_budget_rejects_off_grid_component():
 # ---------------------------------------------------------------------------
 
 def test_sub_sql_band_preset():
-    budget = bud.total_budget(_preset_components(), CONFIG.test_mass.mass, GRID)
+    budget = bud.total_budget(_preset_components(), CONFIG.model.test_mass.mass, GRID)
     bands = bud.sub_sql_band(budget)
     assert len(bands) == 3
     for (lo, hi), (lo_ref, hi_ref) in zip(bands, BANDS):
@@ -275,13 +275,13 @@ def test_sub_sql_band_preset():
 
 
 def test_thermal_sub_sql_band_matches_hand_built_budget():
-    budget = bud.total_budget(_preset_components(), CONFIG.test_mass.mass, GRID)
-    assert bud.thermal_sub_sql_band(MODEL, GRID, n_violin=2) == bud.sub_sql_band(budget)
+    budget = bud.total_budget(_preset_components(), CONFIG.model.test_mass.mass, GRID)
+    assert bud.thermal_sub_sql_band(MODEL, GRID) == bud.sub_sql_band(budget)
 
 
 def test_model_components_order_and_errors():
     names = ["quantum", "suspension", "mirror"]
-    spectra = bud.model_components(MODEL, names, GRID, 2, cavity=CONFIG.cavity)
+    spectra = bud.model_components(MODEL, names, GRID, cavity=CONFIG.cavity)
     assert [s.label for s in spectra] == [
         "quantum noise",
         "suspension thermal",
@@ -290,9 +290,9 @@ def test_model_components_order_and_errors():
     for spec, ref in zip(spectra[1:], _preset_components()):
         assert np.array_equal(spec.asd, ref.asd)
     with pytest.raises(ConfigError, match="unknown budget component 'seismic'"):
-        bud.model_components(MODEL, ["seismic"], GRID, 2)
+        bud.model_components(MODEL, ["seismic"], GRID)
     with pytest.raises(DomainError, match="cavity"):
-        bud.model_components(MODEL, ["quantum"], GRID, 2)
+        bud.model_components(MODEL, ["quantum"], GRID)
 
 
 def test_sub_sql_band_crossings_match_analytic_roots():
@@ -331,8 +331,8 @@ def test_sub_sql_band_finds_multiple_windows():
 
 def test_sub_sql_band_total_vs_thermal_only():
     components = _preset_components()
-    qn = bud.quantum_noise_asd(CONFIG.cavity, CONFIG.test_mass.mass, GRID)
-    budget = bud.total_budget(components + [qn], CONFIG.test_mass.mass, GRID)
+    qn = bud.quantum_noise_asd(CONFIG.cavity, CONFIG.model.test_mass.mass, GRID)
+    budget = bud.total_budget(components + [qn], CONFIG.model.test_mass.mass, GRID)
     # quantum noise alone is >= SQL, so the full total never dips below it
     assert bud.sub_sql_band(budget) == []
 
@@ -368,6 +368,6 @@ def test_json_round_trip():
 
 def test_budget_rejects_component_off_the_sql_grid():
     component = _preset_components()[0]
-    sql_elsewhere = bud.sql_asd(CONFIG.test_mass.mass, bud.log_grid(10.0, 1e4, 500))
+    sql_elsewhere = bud.sql_asd(CONFIG.model.test_mass.mass, bud.log_grid(10.0, 1e4, 500))
     with pytest.raises(ShapeError, match="not on the budget grid"):
         bud.Budget((component,), sql_elsewhere)

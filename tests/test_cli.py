@@ -353,9 +353,7 @@ def test_check_reports_the_shared_sub_sql_band(overrides, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{"):])
     config = load_config(None, overrides)
-    band = budget.thermal_sub_sql_band(
-        config.model, config.grid(), config.violin_mode_count
-    )
+    band = budget.thermal_sub_sql_band(config.model, config.grid())
     assert payload["sub_sql_band_hz"] == [list(b) for b in band]
 
 
@@ -601,3 +599,26 @@ def test_ringdown_synth_short_drifting_record(tmp_path, capsys):
     drift_rows = drifting.read_text().splitlines()
     assert len(plain_rows) == len(drift_rows) == 251
     assert plain_rows != drift_rows
+
+
+def test_budget_overlay_builds_no_budget(monkeypatch, tmp_path, capsys):
+    overlay = tmp_path / "survey.csv"
+    overlay.write_text("mass_kg,dissipation_per_s\n1e-9,1e-2\n")
+    argv = ["budget", "--format", "svg", "--overlay", str(overlay), "--out"]
+    assert cli.main([*argv, str(tmp_path / "a.svg")]) == 0
+
+    def no_budget(*args, **kwargs):
+        raise AssertionError("the survey figure computed a budget")
+
+    monkeypatch.setattr(budget, "model_components", no_budget)
+    assert cli.main([*argv, str(tmp_path / "b.svg"), "--set", "cavity.probe_power=0"]) == 0
+    assert (tmp_path / "b.svg").read_bytes() == (tmp_path / "a.svg").read_bytes()
+    rc = cli.main([*argv, "-", "--components", "quantum", "--set", "cavity.probe_power=0"])
+    assert rc == 2
+    assert "takes no --components" in capsys.readouterr().err
+
+
+def test_substrate_loss_angle_zero_exits_2(capsys):
+    assert cli.main(["check", "--set", "test_mass.substrate_loss_angle=0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: substrate_loss_angle must be > 0, got 0.0\n"

@@ -1,6 +1,7 @@
 """Configuration schema, merging, overrides, and typed assembly."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from pendq import (
     Environment,
     Fiber,
     Material,
+    PendulumModel,
     TestMass,
+    log_grid,
+    measure_q,
 )
 from pendq import config as cfg
 
@@ -118,13 +122,13 @@ def test_set_and_get_numeric():
 
 def test_build_config_preset():
     config = cfg.build_config(cfg.paper_preset())
-    assert config.material.name == "fused silica"
-    assert config.fiber.length == 0.05
-    assert config.test_mass.mass == 7.0e-6
-    assert config.env.temperature == 300.0
+    assert config.model.fiber.material.name == "fused silica"
+    assert config.model.fiber.length == 0.05
+    assert config.model.test_mass.mass == 7.0e-6
+    assert config.model.env.temperature == 300.0
     assert config.cavity.finesse == 5000.0
     assert config.grid_points == 2000
-    assert config.violin_mode_count == 2
+    assert config.model.violin_modes == 2
     model = config.model
     assert model.measured_pendulum_q == 2.0e6
     grid = config.grid()
@@ -186,7 +190,7 @@ def test_load_config_with_overrides(tmp_path):
     f = tmp_path / "exp.yaml"
     f.write_text("fiber:\n  length: 0.07\n")
     config = cfg.load_config(str(f), ["fiber.length=0.09", "grid.points=64"])
-    assert config.fiber.length == 0.09   # override wins over file
+    assert config.model.fiber.length == 0.09   # override wins over file
     assert config.grid_points == 64
 
 
@@ -216,15 +220,15 @@ def test_nullable_fields():
     cfg.apply_override(raw, "test_mass.attachment_offset=null")
     cfg.apply_override(raw, "material.measured_q=null")
     config = cfg.build_config(raw)
-    assert config.material.measured_q is None
-    assert config.test_mass.attachment_offset == config.test_mass.disk_radius
+    assert config.model.fiber.material.measured_q is None
+    assert config.model.test_mass.attachment_offset == config.model.test_mass.disk_radius
     with pytest.raises(ConfigError, match="expected a number"):
         cfg.apply_override(raw, "fiber.radius=null")
 
 
 def test_preset_material_is_fused_silica():
     config = cfg.load_config()
-    assert config.material == dataclasses.replace(FUSED_SILICA, measured_q=1.2e4)
+    assert config.model.fiber.material == dataclasses.replace(FUSED_SILICA, measured_q=1.2e4)
 
 
 def test_bare_exponents_are_numbers(tmp_path):
@@ -257,7 +261,6 @@ def test_model_is_built_once():
     config = cfg.load_config(None, ["suspension.measured_pendulum_q=3e6"])
     assert config.model is config.model
     assert config.model.measured_pendulum_q == 3e6
-    assert config.model.fiber is config.fiber
     with pytest.raises(ConfigError, match="measured_pendulum_q must be > 0"):
         cfg.load_config(None, ["suspension.measured_pendulum_q=0"])
 
@@ -267,3 +270,21 @@ def test_ringdown_section_is_read_only():
     assert dict(config.ringdown) == {"f0": 2.3, "bandwidth": 0.5, "bin_seconds": 20.0}
     with pytest.raises(TypeError):
         config.ringdown["f0"] = 1.0
+
+
+def test_each_section_holds_one_consumers_parameters():
+    def init_fields(cls):
+        return {f.name for f in dataclasses.fields(cls) if f.init}
+
+    consumers = {
+        "material": init_fields(Material),
+        "fiber": init_fields(Fiber) - {"material"},
+        "test_mass": init_fields(TestMass) - {"density"},
+        "environment": init_fields(Environment),
+        "cavity": init_fields(Cavity),
+        "suspension": init_fields(PendulumModel) - {"fiber", "test_mass", "env"},
+        "grid": set(inspect.signature(log_grid).parameters),
+        "ringdown": set(inspect.signature(measure_q).parameters)
+        - {"traces", "settle_seconds", "refine"},
+    }
+    assert {name: set(section) for name, section in cfg.PAPER_PRESET.items()} == consumers

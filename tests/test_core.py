@@ -215,3 +215,18 @@ def test_thermal_decoherence_rate():
     )
     with pytest.raises(DomainError):
         thermal_decoherence_rate(0.0)
+
+
+def test_construction_warnings_name_the_caller():
+    with pytest.warns(UserWarning, match="aspect ratio") as record:
+        Fiber(0.05, 1e-3)
+    assert record[0].filename == __file__
+    with pytest.warns(UserWarning, match="differs from density") as record:
+        TestMass(mass=7e-6, disk_radius=1.5e-3, thickness=4.5e-4, density=1e4)
+    assert record[0].filename == __file__
+
+
+def test_substrate_loss_angle_must_be_positive():
+    # the mirror thermal noise divides by it
+    with pytest.raises(DomainError, match=r"substrate_loss_angle must be > 0, got 0\.0"):
+        TestMass(mass=7e-6, disk_radius=1.5e-3, thickness=4.5e-4, substrate_loss_angle=0.0)

@@ -127,10 +127,8 @@ def test_csv_and_json_match_per_value_writers(spectra):
 def test_budget_outputs_match_per_value_writers():
     grid = bud.log_grid(10.0, 1e4, 700)
     cfg = load_config()
-    components = bud.model_components(
-        cfg.model, bud.COMPONENT_NAMES, grid, cfg.violin_mode_count, cavity=cfg.cavity
-    )
-    b = bud.total_budget(components, cfg.test_mass.mass, grid)
+    components = bud.model_components(cfg.model, bud.COMPONENT_NAMES, grid, cavity=cfg.cavity)
+    b = bud.total_budget(components, cfg.model.test_mass.mass, grid)
     spectra = [*b.components, b.total, b.sql]
     assert bud.spectra_to_csv(spectra) == _reference_csv(spectra)
     assert bud.spectra_to_json(spectra) == _reference_json(spectra)

@@ -5,6 +5,7 @@ recomputation (mpmath at 40 digits); several tests redo that computation
 inline so the oracle travels with the test.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -30,9 +31,9 @@ mp.mp.dps = 40
 
 CONFIG = load_config()
 MODEL = CONFIG.model
-FIBER = CONFIG.fiber
-MASS = CONFIG.test_mass
-ENV = CONFIG.env
+FIBER = CONFIG.model.fiber
+MASS = CONFIG.model.test_mass
+ENV = CONFIG.model.env
 
 F_M_HZ = 2.228925061062094
 DILUTION = 13936.642515297543
@@ -361,10 +362,10 @@ def test_pitch_mode_lever_arm_mass():
 
 
 def test_suspension_modes_composition():
-    modes = susp.suspension_modes(MODEL, n_violin=2)
+    modes = susp.suspension_modes(MODEL)
     kinds = [m.kind for m in modes]
     assert kinds == [ModeKind.PENDULUM, ModeKind.PITCH, ModeKind.VIOLIN, ModeKind.VIOLIN]
-    assert len(susp.suspension_modes(MODEL, n_violin=0)) == 2
+    assert len(susp.suspension_modes(dataclasses.replace(MODEL, violin_modes=0))) == 2
 
 
 def test_mode_validation():
