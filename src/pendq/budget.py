@@ -276,15 +276,17 @@ def model_components(
 ) -> list[NoiseSpectrum]:
     """The named components of one pendulum model's budget, in order.
 
-    names are drawn from COMPONENT_NAMES: "suspension" (pendulum, pitch
-    and the model's violin modes), "mirror" (substrate + coating
-    of the fiber material) and "quantum" (needs the readout cavity).
-    The thermal components take the temperature of model.env.
+    names are drawn from COMPONENT_NAMES, each at most once: "suspension"
+    (pendulum, pitch and the model's violin modes), "mirror" (substrate +
+    coating of the fiber material) and "quantum" (needs the readout
+    cavity).  The thermal components take the temperature of model.env.
     """
     temperature = model.env.temperature
     material = model.fiber.material
     spectra = []
-    for name in names:
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"budget component {name!r} is given twice")
         if name == "suspension":
             spectra.append(suspension_thermal_asd(suspension_modes(model), temperature, grid_hz))
         elif name == "mirror":

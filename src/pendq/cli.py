@@ -215,9 +215,7 @@ def cmd_ringdown_fit(args) -> int:
     # the fit flags apply after every --set, so a flag wins in either argv order
     cfg = load_config(args.config, [*args.set, *args.ringdown_set])
     traces = [_read_trace(path) for path in args.traces]
-    fit = ringdown_mod.measure_q(
-        traces, **cfg.ringdown, settle_seconds=args.settle_seconds, refine=args.refine
-    )
+    fit = ringdown_mod.measure_q(traces, **cfg.ringdown, refine=args.refine)
     _write_text(args.out, ringdown_mod.fit_to_json(fit))
     return EXIT_OK
 
@@ -375,7 +373,6 @@ def _parser() -> argparse.ArgumentParser:
         pf.add_argument("--" + key.replace("_", "-"), dest="ringdown_set", action="append",
                         default=[], type=f"ringdown.{key}={{}}".format, metavar=key.upper(),
                         help=f"shorthand for --set ringdown.{key}={key.upper()}")
-    pf.add_argument("--settle-seconds", type=float, default=None)
     pf.add_argument("--refine", action="store_true", help="nonlinear refinement pass")
     pf.add_argument("--out", default="-")
     pf.set_defaults(func=cmd_ringdown_fit)

@@ -14,7 +14,6 @@ to the slow uHz-scale frequency wander real oscillators show.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -412,7 +411,6 @@ def measure_q(
     f0: float,
     bandwidth: float,
     bin_seconds: float,
-    settle_seconds: float | None = None,
     refine: bool = False,
 ) -> RingdownFit:
     """Full pipeline: bandpass, envelope, pooled binning, exponential fit.
@@ -420,19 +418,14 @@ def measure_q(
     Accepts one trace or several; multiple traces have their envelope
     samples pooled before binning, so aggregating k identical-statistics
     records shrinks the fitted uncertainty by about sqrt(k).  The first
-    and last settle_seconds (default 10/bandwidth) of each envelope are
-    discarded to drop zero-phase filter edge transients; a given
-    settle_seconds must be finite and >= 0.
+    and last SETTLE_BANDWIDTHS/bandwidth seconds of each envelope are
+    discarded to drop zero-phase filter edge transients.
     """
     if isinstance(traces, RingdownTrace):
         traces = [traces]
     if not traces:
         raise InsufficientDataError("no traces given")
-    _require_positive("bandwidth", bandwidth)
-    if settle_seconds is None:
-        settle_seconds = SETTLE_BANDWIDTHS / bandwidth
-    else:
-        settle_seconds = _require_nonnegative("settle_seconds", settle_seconds)
+    settle = SETTLE_BANDWIDTHS / _require_positive("bandwidth", bandwidth)
     all_t, all_a = [], []
     for trace in traces:
         if trace.duration * f0 < MIN_CYCLES:
@@ -441,10 +434,10 @@ def measure_q(
                 f"need >= {MIN_CYCLES:g}"
             )
         t, a = envelope(bandpass(trace, f0, bandwidth), f0)
-        keep = (t - t[0] >= settle_seconds) & (t[-1] - t >= settle_seconds)
+        keep = (t - t[0] >= settle) & (t[-1] - t >= settle)
         if not keep.any():
             raise InsufficientDataError(
-                f"settling trim ({settle_seconds:.3g} s per end) consumed the record"
+                f"settling trim ({settle:.3g} s per end) consumed the record"
             )
         all_t.append(t[keep])
         all_a.append(a[keep])
@@ -481,26 +474,26 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     return "".join(parts)
 
 
-# ASCII line ends of str.splitlines() that np.loadtxt reads as field text
-_OTHER_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e"
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
 
 
 def _parse_rows(text: str) -> np.ndarray:
     """(rows, 2) floats of a run of whole CSV lines; blank lines skip.
 
-    np.loadtxt reads each field with the same correctly rounded parser
-    as float(), so values are bit-identical to float() per field.  Text
-    it may split differently from str.splitlines() (non-ASCII, vertical
-    tab, form feed, ...) and text it rejects (whitespace-only lines, a
-    lone CR, "1_0" digit grouping, malformed rows) take the per-line
-    float() parse, which defines the accepted syntax.
+    Both parsers read the lines of text.splitlines().  np.loadtxt reads
+    each field with the same correctly rounded parser as float(), so
+    values are bit-identical to float() per field.  Text it rejects
+    (whitespace-only lines, "1_0" digit grouping, malformed rows) and
+    text holding U+001F, which it strips around a field and float()
+    does not, take the per-line float() parse, which defines the
+    accepted syntax.
     """
-    if text.isascii() and not any(c in text for c in _OTHER_LINE_ENDS):
+    lines = text.splitlines()
+    if "\x1f" not in text:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a slice of blank lines
-                rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
@@ -509,7 +502,7 @@ def _parse_rows(text: str) -> np.ndarray:
             if rows.shape[1] != 2:
                 raise DomainError(_FIELD_COUNT_ERROR.format(rows.shape[1]))
             return rows
-    cells = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    cells = [ln.split(",") for ln in lines if ln.strip()]
     for row in cells:
         if len(row) != 2:
             raise DomainError(_FIELD_COUNT_ERROR.format(len(row)))
@@ -522,12 +515,12 @@ def _parse_rows(text: str) -> np.ndarray:
 def trace_from_csv(text: str) -> RingdownTrace:
     """Parse a time_s,value CSV; the times must be finite and uniform.
 
-    Leading whitespace and blank lines are skipped, and every line end
-    str.splitlines() knows ends a row.  The body is read in slices of
-    about _CSV_SLICE_CHARS characters, cut after a newline, into
-    preallocated time and sample arrays.  A slice of the rows
-    trace_to_csv writes takes the exact vectorised reader
-    _csv_float_pairs; any other slice takes _parse_rows.  Either way
+    Whitespace before the header and after the last row and blank lines
+    are skipped, and every line end str.splitlines() knows ends a row.
+    The body is read in slices of about _CSV_SLICE_CHARS characters,
+    cut after a newline, into preallocated time and sample arrays.  A
+    slice of the rows trace_to_csv writes takes the exact vectorised
+    reader _csv_float_pairs; any other slice takes _parse_rows.  Either way
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.
 
@@ -545,14 +538,19 @@ def trace_from_csv(text: str) -> RingdownTrace:
     size = text.count("\n", pos) + 1
     times, samples = np.empty(size), np.empty(size)
     filled = 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CSV_SLICE_CHARS)
+    # the last slice holds the last non-whitespace character and runs to
+    # the end; the whitespace after it is no part of the last row
+    stop = len(text)
+    while text[stop - 1].isspace():
+        stop -= 1
+    while pos < stop:
+        end = text.find("\n", pos + _CSV_SLICE_CHARS, stop)
         end = len(text) if end < 0 else end + 1
         part = text[pos:end]
         pos = end
         columns = _csv_float_pairs(part)
         if columns is None:
-            columns = _parse_rows(part).T
+            columns = _parse_rows(part.rstrip() if end == len(text) else part).T
         rows = len(columns[0])
         if filled + rows > size:  # lines ended by a lone CR
             size = filled + rows

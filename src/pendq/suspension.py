@@ -29,6 +29,7 @@ from .core import (
     Fiber,
     TestMass,
     _require_positive,
+    thermal_decoherence_rate,
 )
 
 # Fundamental radial thermal relaxation of a cylinder: tau = rho C r^2 / (Z kappa)
@@ -358,7 +359,7 @@ def qf_requirement(omega_m: float, q_m: float, temperature: float) -> QfReport:
     _require_positive("omega_m", omega_m)
     _require_positive("q_m", q_m)
     lhs = q_m * omega_m
-    rhs = CONST.k_B * _require_positive("temperature", temperature) / CONST.hbar
+    rhs = thermal_decoherence_rate(temperature)
     margin = lhs / rhs
     if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
         raise DomainError(

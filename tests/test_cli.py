@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and file formats."""
 
+import argparse
 import inspect
 import json
 import math
@@ -82,6 +83,14 @@ def test_budget_quantum_omitted_without_probe(capsys):
 def test_budget_unknown_component(capsys):
     assert cli.main(["budget", "--out", "-", "--components", "gravity"]) == 2
     assert "unknown budget component" in capsys.readouterr().err
+
+
+def test_budget_repeated_component(capsys):
+    argv = ["budget", "--out", "-", "--components", "suspension,mirror,suspension"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: budget component 'suspension' is given twice\n"
 
 
 def test_budget_svg(tmp_path):
@@ -504,6 +513,20 @@ def test_sweep_over_a_nullable_key(capsys):
     assert len(lines[1:]) == 3
 
 
+def test_ringdown_fit_options_are_the_ringdown_section_and_refine():
+    parser = cli._parser()
+    fit = parser
+    for name in ("ringdown", "fit"):
+        subparsers = next(a for a in fit._actions if isinstance(a, argparse._SubParsersAction))
+        fit = subparsers.choices[name]
+    options = {s for action in fit._actions for s in action.option_strings}
+    shorthands = {"--" + key.replace("_", "-"): key for key in PAPER_PRESET["ringdown"]}
+    assert options - {"-h", "--help"} == {"--config", "--set", "--out", "--refine", *shorthands}
+    for flag, key in shorthands.items():
+        args = parser.parse_args(["ringdown", "fit", "x.csv", flag, "1"])
+        assert args.ringdown_set == [f"ringdown.{key}=1"]
+
+
 def test_ringdown_section_keys_are_measure_q_parameters():
     parameters = inspect.signature(ringdown_mod.measure_q).parameters
     assert set(PAPER_PRESET["ringdown"]) <= set(parameters)
@@ -530,15 +553,6 @@ def test_ringdown_synth_bound(flags, tmp_path, capsys):
     # refused by the bound before any array exists, not by a MemoryError
     assert "MAX_SYNTH_SAMPLES" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "value, message",
-    [("-5", "settle_seconds must be >= 0"), ("nan", "settle_seconds must be finite")],
-)
-def test_ringdown_fit_rejects_bad_settle_seconds(value, message, capsys):
-    assert cli.main(["ringdown", "fit", str(FIXTURE), "--settle-seconds", value]) == 4
-    assert message in capsys.readouterr().err
 
 
 def test_memory_error_exits_4(monkeypatch, tmp_path, capsys):

@@ -285,6 +285,6 @@ def test_each_section_holds_one_consumers_parameters():
         "suspension": init_fields(PendulumModel) - {"fiber", "test_mass", "env"},
         "grid": set(inspect.signature(log_grid).parameters),
         "ringdown": set(inspect.signature(measure_q).parameters)
-        - {"traces", "settle_seconds", "refine"},
+        - {"traces", "refine"},
     }
     assert {name: set(section) for name, section in cfg.PAPER_PRESET.items()} == consumers

@@ -144,6 +144,7 @@ def test_fixture_parses_bit_identically(monkeypatch, slice_chars):
         "time_s,value\n 0 , 1\n0.5\t,\t2 \n  1,3  \n",          # spaces around fields
         "time_s,value\u20280,1\u20280.5,2\n1,3\n",             # Unicode line separators
         "time_s,value\n0,1\n0.5,2\n1,3_0e-1\n",                 # digit grouping
+        "time_s,value\n0,1\n0.5,2\n1,3\x1f",                     # U+001F at the end of the file
     ],
 )
 def test_trace_csv_accepted_syntax(text):
@@ -165,6 +166,7 @@ def test_trace_csv_accepted_syntax(text):
         "time_s,value\n0,1\n1,\n",                              # empty field
         "time_s,value\n0\x0c,1\n1,2\n",                         # form feed ends a line
         "time_s,value\n0,1\n1,2\x00\n",
+        "time_s,value\n0,1\n1,2\x1f\n2,3\n",                     # U+001F inside the record
         "time_s,value\n",
         "",
     ],
@@ -184,7 +186,8 @@ def test_trace_csv_lone_cr_grows_past_newline_count(monkeypatch):
 
 
 _TOKENS = ["0", "1", "2", "0.5", "-1", "1e0", "1_0", "nan", "inf", " ", "\t", ",", ",",
-           "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "#", "\x00"]
+           "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "#", "\x00",
+           "\x1f"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -195,6 +198,8 @@ _TOKENS = ["0", "1", "2", "0.5", "-1", "1e0", "1_0", "nan", "inf", " ", "\t", ",
     st.lists(st.sampled_from(_TOKENS), max_size=30),
     st.sampled_from([rd._CSV_SLICE_CHARS, 3]),
 )
+# U+001F ends the last row, and a slice of whitespace follows it
+@example("", "time_s,value", "\n", ["\x1f", "\n", " "], 3)
 def test_trace_from_csv_matches_per_line_reference(prefix, header, end, tokens, slice_chars):
     rows = "\n".join(f"{k * 0.25},{k}" for k in range(4))
     text = prefix + header + end + rows + "".join(tokens)
