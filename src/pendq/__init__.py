@@ -34,6 +34,7 @@ from .suspension import (
     diluted_pendulum_q,
     gas_damping_gamma,
     gas_limited_q,
+    ideal_pendulum_q,
     material_loss_budget,
     material_q,
     measurement_band_edge,

@@ -33,7 +33,7 @@ from .cavity import Cavity, radiation_pressure_force_psd
 from .suspension import Mode, PendulumModel, suspension_modes
 
 
-def log_grid(f_min: float = 10.0, f_max: float = 1.0e4, points: int = 2000) -> np.ndarray:
+def log_grid(f_min: float, f_max: float, points: int) -> np.ndarray:
     """Logarithmic frequency grid [Hz]."""
     _require_positive("f_min", f_min)
     if f_max <= f_min:

@@ -82,7 +82,7 @@ def cavity_kappa(cavity: Cavity) -> float:
     return math.pi * CONST.c / (cavity.round_trip_length * cavity.finesse)
 
 
-def circulating_power(cavity: Cavity, power_in: float, delta: float = 0.0) -> float:
+def circulating_power(cavity: Cavity, power_in: float, delta: float) -> float:
     """Lorentzian intracavity power buildup [W].
 
     P_circ = eta * (2F/pi) * P_in / (1 + delta^2), with delta the

@@ -33,8 +33,7 @@ from .config import (
 )
 from .core import ConfigError, DomainError, FitError, ShapeError, _cell_rows, _csv_float_bytes
 from .suspension import (
-    diluted_pendulum_q,
-    material_q,
+    ideal_pendulum_q,
     measurement_band_edge,
     pendulum_mode,
     violin_modes,
@@ -225,10 +224,7 @@ def cmd_ringdown_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _metric_q_ideal(cfg: ExperimentConfig) -> float:
-    model = cfg.model
-    return diluted_pendulum_q(
-        model.fiber, model.test_mass.mass, material_q(model.fiber, model.env)
-    )
+    return ideal_pendulum_q(cfg.model)
 
 
 def _metric_eq2_edge(cfg: ExperimentConfig) -> float:
@@ -254,7 +250,7 @@ def _metric_sub_sql_hi(cfg: ExperimentConfig) -> float:
 
 
 def _metric_f_violin1(cfg: ExperimentConfig) -> float:
-    return violin_modes(cfg.model.fiber, cfg.model.test_mass.mass, 1)[0].frequency_hz
+    return violin_modes(cfg.model, 1)[0].frequency_hz
 
 
 def _metric_omega_eff(cfg: ExperimentConfig) -> float:

@@ -261,11 +261,10 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     sos = signal.butter(4, corner, btype="low", fs=trace.sample_rate, output="sos")
     i_lp = signal.sosfiltfilt(sos, i_raw)
     q_lp = signal.sosfiltfilt(sos, q_raw)
-    amp = 2.0 * np.hypot(i_lp, q_lp)
     # decimate to the lowpass corner rate so samples are near-independent,
     # which keeps the binned standard errors honest
     step = max(1, int(trace.sample_rate / corner))
-    return t[::step], amp[::step]
+    return t[::step], 2.0 * np.hypot(i_lp[::step], q_lp[::step])
 
 
 def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:

@@ -40,7 +40,7 @@ GAS_DRAG_COEFFICIENT = 1.0 + math.pi / 4.0
 
 # Fraction of the pendulum dilution factor credited to higher-order wire
 # modes (violin, pitch): those modes bend the wire at both anchors, so
-# they keep half the pendulum-mode dilution.  violin_modes can take another.
+# they keep half the pendulum-mode dilution.
 DEFAULT_MODE_DILUTION_FRACTION = 0.5
 
 
@@ -125,13 +125,7 @@ def pendulum_frequency(model: PendulumModel) -> float:
     return math.sqrt(CONST.g / model.fiber.length)
 
 
-def violin_modes(
-    fiber: Fiber,
-    mass: float,
-    n_max: int,
-    q_mat: float | None = None,
-    dilution_fraction: float = DEFAULT_MODE_DILUTION_FRACTION,
-) -> list[Mode]:
+def violin_modes(model: PendulumModel, n_max: int) -> list[Mode]:
     """Transverse standing-wave modes of the tensioned fiber.
 
     Ideal taut string under tension m g: omega_n = (n pi / l) sqrt(m g / mu)
@@ -139,24 +133,19 @@ def violin_modes(
     multiples of the fundamental.  Effective masses referenced to
     test-mass displacement follow the standard modal result
     m_n = m^2 pi^2 n^2 / (2 mu l); quality factors take
-    dilution_fraction of the pendulum dilution factor times the
-    material Q.
+    DEFAULT_MODE_DILUTION_FRACTION of the ideal pendulum Q.
 
     Args:
-        fiber: suspension fiber
-        mass: suspended mass [kg]
+        model: fiber, test mass and environment
         n_max: highest harmonic to return, >= 1
-        q_mat: material quality factor; default from material_q(fiber)
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    _require_positive("mass", mass)
-    if q_mat is None:
-        q_mat = material_q(fiber)
+    fiber, mass = model.fiber, model.test_mass.mass
     mu = fiber.linear_density
     tension = mass * CONST.g
     omega_1 = (math.pi / fiber.length) * math.sqrt(tension / mu)
-    q_violin = dilution_fraction * dilution_factor(fiber, mass) * q_mat
+    q_violin = DEFAULT_MODE_DILUTION_FRACTION * ideal_pendulum_q(model)
     modes = []
     for n in range(1, n_max + 1):
         m_eff = (mass**2 * math.pi**2 * n**2) / (2.0 * mu * fiber.length)
@@ -214,10 +203,10 @@ def dilution_factor(fiber: Fiber, mass: float) -> float:
     )
 
 
-def diluted_pendulum_q(fiber: Fiber, mass: float, q_mat: float) -> float:
-    """Ideal diluted pendulum quality factor: dilution_factor * Q_mat."""
-    _require_positive("q_mat", q_mat)
-    return dilution_factor(fiber, mass) * q_mat
+def diluted_pendulum_q(fiber: Fiber, mass: float, q_material: float) -> float:
+    """Ideal diluted pendulum quality factor: dilution_factor * Q_material."""
+    _require_positive("q_material", q_material)
+    return dilution_factor(fiber, mass) * q_material
 
 
 def structural_gamma(omega_m: float, q_m: float, omega) -> float | np.ndarray:
@@ -300,12 +289,20 @@ def material_loss_budget(fiber: Fiber, env: Environment, omega: float) -> LossBu
     return LossBudget.from_channels(channels)
 
 
-def material_q(fiber: Fiber, env: Environment = Environment(), omega: float = 1.0) -> float:
+def material_q(fiber: Fiber, env: Environment) -> float:
     """Material quality factor: the measured value if the material has one,
-    else 1 / total loss angle at omega."""
+    else 1 / total loss angle at 1 rad/s."""
     if fiber.material.measured_q is not None:
         return fiber.material.measured_q
-    return 1.0 / material_loss_budget(fiber, env, omega).total_phi
+    return 1.0 / material_loss_budget(fiber, env, 1.0).total_phi
+
+
+def ideal_pendulum_q(model: PendulumModel) -> float:
+    """Ideal diluted pendulum Q of the model: dilution factor times the
+    material Q in the model's environment.  The pitch and violin modes
+    keep DEFAULT_MODE_DILUTION_FRACTION of it."""
+    fiber = model.fiber
+    return diluted_pendulum_q(fiber, model.test_mass.mass, material_q(fiber, model.env))
 
 
 def gas_damping_gamma(test_mass: TestMass, env: Environment) -> float:
@@ -399,7 +396,7 @@ def measurement_band_edge_spectrum(
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     omega = 2.0 * math.pi * freqs_hz
     ratio = omega**2 / structural_gamma(omega_m, q_m, omega)
-    threshold = 4.0 * CONST.k_B * temperature / CONST.hbar
+    threshold = 4.0 * thermal_decoherence_rate(temperature)
     above = ratio > threshold
     if above.all():
         return float(freqs_hz[0])
@@ -421,11 +418,9 @@ def measurement_band_edge_spectrum(
 
 def pendulum_mode(model: PendulumModel) -> Mode:
     """The pendulum mode with the measured Q if present, else the ideal diluted Q."""
-    if model.measured_pendulum_q is not None:
-        q = model.measured_pendulum_q
-    else:
-        q_mat = material_q(model.fiber, model.env)
-        q = diluted_pendulum_q(model.fiber, model.test_mass.mass, q_mat)
+    q = model.measured_pendulum_q
+    if q is None:
+        q = ideal_pendulum_q(model)
     return Mode(
         kind=ModeKind.PENDULUM,
         frequency=pendulum_frequency(model),
@@ -442,12 +437,10 @@ def pitch_mode(model: PendulumModel) -> Mode:
     as the violin modes (no measured value exists for it).
     """
     tm = model.test_mass
-    q_mat = material_q(model.fiber, model.env)
-    q = DEFAULT_MODE_DILUTION_FRACTION * dilution_factor(model.fiber, tm.mass) * q_mat
     return Mode(
         kind=ModeKind.PITCH,
         frequency=pitch_frequency(tm),
-        quality_factor=q,
+        quality_factor=DEFAULT_MODE_DILUTION_FRACTION * ideal_pendulum_q(model),
         effective_mass=tm.pivot_moment_of_inertia / tm.attachment_offset**2,
     )
 
@@ -456,6 +449,5 @@ def suspension_modes(model: PendulumModel) -> list[Mode]:
     """Pendulum + pitch + the first model.violin_modes violin modes, for the noise budget."""
     modes = [pendulum_mode(model), pitch_mode(model)]
     if model.violin_modes >= 1:
-        q_mat = material_q(model.fiber, model.env)
-        modes.extend(violin_modes(model.fiber, model.test_mass.mass, model.violin_modes, q_mat))
+        modes.extend(violin_modes(model, model.violin_modes))
     return modes

@@ -137,7 +137,7 @@ def test_10_structural_damping_slope():
     # so doubling the frequency divides the ASD by 2^2.5
     modes = susp.suspension_modes(dataclasses.replace(MODEL, violin_modes=0))  # pendulum + pitch
     omega_m = susp.pendulum_frequency(MODEL)
-    f_violin1 = susp.violin_modes(FIBER, MASS.mass, 1)[0].frequency_hz
+    f_violin1 = susp.violin_modes(MODEL, 1)[0].frequency_hz
     f = np.geomspace(50.0 * omega_m / TWO_PI, 0.5 * f_violin1, 400)
     lower = bd.suspension_thermal_asd(modes, ENV.temperature, f)
     upper = bd.suspension_thermal_asd(modes, ENV.temperature, 2.0 * f)

@@ -269,7 +269,7 @@ def test_radiation_pressure_force_psd():
 # ---------------------------------------------------------------------------
 
 def test_effective_requirements_preset():
-    band = bud.thermal_sub_sql_band(MODEL, bud.log_grid())
+    band = bud.thermal_sub_sql_band(MODEL, CONFIG.grid())
     report = cav.effective_requirements(MODEL, CAVITY, band)
     assert report.passed
     assert math.isclose(report.eq1.lhs, EQ1_LHS, rel_tol=1e-12)

@@ -100,7 +100,7 @@ def test_diluted_pendulum_q():
 # ---------------------------------------------------------------------------
 
 def test_violin_mode_frequencies():
-    modes = susp.violin_modes(FIBER, MASS.mass, 2)
+    modes = susp.violin_modes(MODEL, 2)
     assert [m.order for m in modes] == [1, 2]
     assert all(m.kind is ModeKind.VIOLIN for m in modes)
     for mode, f_ref in zip(modes, F_VIOLIN_HZ):
@@ -115,7 +115,7 @@ def test_violin_mode_frequencies():
 
 
 def test_violin_effective_masses():
-    modes = susp.violin_modes(FIBER, MASS.mass, 2)
+    modes = susp.violin_modes(MODEL, 2)
     for mode, m_ref in zip(modes, VIOLIN_MEFF):
         assert math.isclose(mode.effective_mass, m_ref, rel_tol=1e-12)
     # m_n grows as n^2
@@ -125,19 +125,13 @@ def test_violin_effective_masses():
 
 
 def test_violin_q_keeps_half_the_dilution():
-    modes = susp.violin_modes(FIBER, MASS.mass, 1, q_mat=1.2e4)
+    modes = susp.violin_modes(MODEL, 1)
     assert math.isclose(modes[0].quality_factor, 0.5 * Q_IDEAL, rel_tol=1e-12)
-    third = susp.violin_modes(
-        FIBER, MASS.mass, 1, q_mat=1.2e4, dilution_fraction=1.0 / 3.0
-    )
-    assert math.isclose(third[0].quality_factor, Q_IDEAL / 3.0, rel_tol=1e-12)
 
 
 def test_violin_modes_validation():
     with pytest.raises(DomainError):
-        susp.violin_modes(FIBER, MASS.mass, 0)
-    with pytest.raises(DomainError):
-        susp.violin_modes(FIBER, 0.0, 1)
+        susp.violin_modes(MODEL, 0)
 
 
 def test_pitch_frequency():
@@ -333,6 +327,11 @@ def test_measurement_band_edge_spectrum_agrees():
         susp.measurement_band_edge_spectrum(
             mode.frequency, mode.quality_factor, 300.0, np.geomspace(0.1, 1.0, 50)
         )
+    # the threshold validates its temperature, as the closed form does
+    with pytest.raises(DomainError, match="temperature must be > 0"):
+        susp.measurement_band_edge_spectrum(
+            mode.frequency, mode.quality_factor, -300.0, np.geomspace(0.1, 1e4, 2000)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +365,32 @@ def test_suspension_modes_composition():
     kinds = [m.kind for m in modes]
     assert kinds == [ModeKind.PENDULUM, ModeKind.PITCH, ModeKind.VIOLIN, ModeKind.VIOLIN]
     assert len(susp.suspension_modes(dataclasses.replace(MODEL, violin_modes=0))) == 2
+
+
+def test_every_mode_takes_the_one_ideal_q():
+    # 4.2 K, material Q from the loss channels, no measured pendulum Q
+    # (the config cannot unset it, so the model is edited directly)
+    cold = load_config(None, [
+        "environment.temperature=4.2",
+        "material.measured_q=null",
+        "suspension.violin_modes=3",
+    ]).model
+    model = dataclasses.replace(cold, measured_pendulum_q=None)
+    q_ideal = susp.ideal_pendulum_q(model)
+    assert q_ideal == susp.diluted_pendulum_q(
+        model.fiber, model.test_mass.mass, susp.material_q(model.fiber, model.env)
+    )
+    # the material Q differs from the 300 K one, so the model's env is the one used
+    assert susp.material_q(model.fiber, model.env) != susp.material_q(model.fiber, ENV)
+    pendulum = susp.pendulum_mode(model)
+    pitch = susp.pitch_mode(model)
+    violins = susp.violin_modes(model, model.violin_modes)
+    assert pendulum.quality_factor == q_ideal
+    assert pitch.quality_factor == susp.DEFAULT_MODE_DILUTION_FRACTION * q_ideal
+    assert len(violins) == 3
+    for mode in violins:
+        assert mode.quality_factor == susp.DEFAULT_MODE_DILUTION_FRACTION * q_ideal
+    assert susp.suspension_modes(model) == [pendulum, pitch, *violins]
 
 
 def test_mode_validation():
