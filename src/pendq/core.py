@@ -501,6 +501,11 @@ def _cell_rows(parts) -> str:
     A part is a NUL-padded cell matrix (its NULs are dropped) or a
     string repeated whole on every row.
     """
+    return _cell_bytes(parts).tobytes().decode("utf-8", "surrogatepass")
+
+
+def _cell_bytes(parts) -> np.ndarray:
+    """The UTF-8 bytes of _cell_rows(parts), as a flat uint8 array."""
     n_rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
     parts = [
         p if isinstance(p, np.ndarray)
@@ -518,4 +523,4 @@ def _cell_rows(parts) -> str:
         if part.ndim == 1 and not part.all():  # a string holding NUL keeps it
             keep[:, col : col + part.size] = True
         col += part.shape[-1]
-    return rows[keep].tobytes().decode("utf-8", "surrogatepass")
+    return rows[keep]

@@ -10,14 +10,24 @@ The envelope step uses quadrature demodulation (multiply by cos/sin,
 low-pass, magnitude) rather than an analytic-signal transform: it has
 no boundary artifacts on finite records and its magnitude is invariant
 to the slow uHz-scale frequency wander real oscillators show.
+
+On day-long records the elementwise and per-chunk stages (tone
+synthesis, demodulation, the trace CSV writer and reader) run their
+chunks on a small shared thread pool and take the results in order, so
+the output is the same bytes as a serial run's (see _in_order).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 from scipy import optimize, signal
@@ -28,7 +38,7 @@ from .core import (
     FitError,
     InsufficientDataError,
     ShapeError,
-    _cell_rows,
+    _cell_bytes,
     _csv_float_bytes,
     _csv_float_pairs,
     _require_finite,
@@ -44,11 +54,68 @@ MIN_CYCLES = 10.0
 MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
-# is allocated: `pendq ringdown synth` peaks at about 70 bytes per sample
-# (405 MB for a 24 h 50 Hz record of 4.32 M samples, 106 MB of it the
-# interpreter and imports), so this caps it near 2.9 GB and admits a
+# is allocated: `pendq ringdown synth` peaks at about 68 bytes per sample
+# (395-414 MB for a 24 h 50 Hz record of 4.32 M samples, 105 MB of it
+# the interpreter and imports), so this caps it near 2.8 GB and admits a
 # 7-day 50 Hz record (30.24 M samples)
 MAX_SYNTH_SAMPLES = 40_000_000
+
+# samples per chunk of the elementwise stages (tone synthesis and
+# demodulation): large enough that numpy's per-call overhead vanishes
+_CHUNK_SAMPLES = 1 << 16
+
+# threads for the chunks of a stage: the CPUs this process may run on.
+# numpy releases the GIL on large arrays, so chunks run on all of them
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform without affinity masks
+    _WORKERS = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _in_order(fn, items):
+    """fn(item) for each item, yielded in the order of items.
+
+    With two or more items and workers, the calls run on a thread pool
+    shared by the whole module, at most 2 * _WORKERS of them submitted
+    ahead of the one consumed; items are drawn lazily, on the calling
+    thread.  A single item, or a single worker, runs inline and starts
+    no thread.  When the consumer stops early, or a call raises, the
+    calls not started are cancelled and the running ones finished
+    before this returns.  fn must not call a public function of this
+    module (the benchmark's span tracer wraps those, and it keeps one
+    span stack) nor change the warnings filters, which every thread
+    shares.
+    """
+    global _pool
+    items = iter(items)
+    head = list(islice(items, 2))
+    if len(head) < 2 or _WORKERS < 2:
+        yield from map(fn, chain(head, items))
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="pendq-ringdown")
+        pool = _pool
+    items = chain(head, items)
+    pending = deque(pool.submit(fn, item) for item in islice(items, 2 * _WORKERS))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+def _chunked(fn, n: int) -> None:
+    """fn(lo, hi) for the _CHUNK_SAMPLES chunks of range(n), all finished on return."""
+    starts = range(0, n, _CHUNK_SAMPLES)
+    for _ in _in_order(lambda lo: fn(lo, min(lo + _CHUNK_SAMPLES, n)), starts):
+        pass
 
 
 @dataclass(frozen=True)
@@ -182,10 +249,10 @@ def synthesize_ringdown(
             f"MAX_SYNTH_SAMPLES is {MAX_SYNTH_SAMPLES}"
         )
     n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
     tau = q / (math.pi * f0)  # inf for q = inf
     rng = np.random.default_rng(seed)
-    phi = 2.0 * math.pi * f0 * t
+    w = 2.0 * math.pi * f0
+    drift_phase = None
     if drift_uhz is not None and drift_uhz > 0.0:
         white = rng.standard_normal(n)
         window = min(max(3, int(round(20.0 * sample_rate))), n)
@@ -194,10 +261,19 @@ def synthesize_ringdown(
         sd = slow.std()
         if sd > 0.0:
             df = (drift_uhz * 1e-6) * slow / sd
-            phi += 2.0 * math.pi * np.cumsum(df) / sample_rate
-    x = amplitude * np.exp(-t / tau) * np.cos(phi)
+            drift_phase = 2.0 * math.pi * np.cumsum(df) / sample_rate
+    x = np.empty(n)
+
+    def tone(lo: int, hi: int) -> None:
+        t = np.arange(lo, hi) / sample_rate
+        phi = w * t
+        if drift_phase is not None:
+            phi += drift_phase[lo:hi]
+        x[lo:hi] = amplitude * np.exp(-t / tau) * np.cos(phi)
+
+    _chunked(tone, n)
     if noise_rms > 0.0:
-        x = x + rng.normal(0.0, noise_rms, n)
+        x += rng.normal(0.0, noise_rms, n)
     return RingdownTrace(sample_rate=sample_rate, samples=x)
 
 
@@ -226,15 +302,24 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
         )
     n = trace.samples.size
     freqs = np.fft.rfftfreq(n, d=1.0 / trace.sample_rate)
-    df = np.abs(freqs - f_center)
-    gain = np.zeros_like(freqs)
+    # the gain is nonzero only on the band and its edges; 2 bins more on
+    # each side keep a rounding of the bounds from cutting a bin off
+    lo = max(int(np.searchsorted(freqs, f_center - bandwidth / 2.0 - edge)) - 2, 0)
+    hi = int(np.searchsorted(freqs, f_center + bandwidth / 2.0 + edge, side="right")) + 2
+    df = np.abs(freqs[lo:hi] - f_center)
+    gain = np.zeros_like(df)
     inside = df <= bandwidth / 2.0
     gain[inside] = 1.0
     on_edge = (~inside) & (df <= bandwidth / 2.0 + edge)
     gain[on_edge] = 0.5 * (
         1.0 + np.cos(math.pi * (df[on_edge] - bandwidth / 2.0) / edge)
     )
-    filtered = np.fft.irfft(np.fft.rfft(trace.samples) * gain, n=n)
+    spectrum = np.fft.rfft(trace.samples)
+    spectrum[lo:hi] *= gain
+    # a product with 0.0, not an assignment, gives zeros of the same signs
+    spectrum[:lo] *= 0.0
+    spectrum[hi:] *= 0.0
+    filtered = np.fft.irfft(spectrum, n=n)
     return RingdownTrace(
         sample_rate=trace.sample_rate, samples=filtered, start_time=trace.start_time
     )
@@ -253,18 +338,28 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     nyquist = trace.sample_rate / 2.0
     if f0 >= nyquist / 2.0:
         raise DomainError(f"f0 = {f0} Hz must be below half-Nyquist {nyquist / 2.0} Hz")
-    t = trace.times
+    samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
+    n = samples.size
     w = 2.0 * math.pi * f0
-    i_raw = trace.samples * np.cos(w * t)
-    q_raw = trace.samples * np.sin(w * t)
     corner = f0 / 4.0
-    sos = signal.butter(4, corner, btype="low", fs=trace.sample_rate, output="sos")
-    i_lp = signal.sosfiltfilt(sos, i_raw)
-    q_lp = signal.sosfiltfilt(sos, q_raw)
+    sos = signal.butter(4, corner, btype="low", fs=rate, output="sos")
     # decimate to the lowpass corner rate so samples are near-independent,
     # which keeps the binned standard errors honest
-    step = max(1, int(trace.sample_rate / corner))
-    return t[::step], 2.0 * np.hypot(i_lp[::step], q_lp[::step])
+    step = max(1, int(rate / corner))
+    raw = np.empty(n)
+    quadratures = []
+    for wave in (np.cos, np.sin):
+
+        def demodulate(lo: int, hi: int, wave=wave) -> None:
+            # the same expression as trace.times, evaluated for this chunk only
+            t = start + np.arange(lo, hi) / rate
+            np.multiply(samples[lo:hi], wave(w * t), out=raw[lo:hi])
+
+        _chunked(demodulate, n)
+        # a second thread does not speed sosfiltfilt up, so each quadrature
+        # is filtered whole in turn and only its decimated copy is kept
+        quadratures.append(signal.sosfiltfilt(sos, raw)[::step].copy())
+    return start + np.arange(0, n, step) / rate, 2.0 * np.hypot(*quadratures)
 
 
 def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
@@ -461,16 +556,21 @@ _CSV_SLICE_CHARS = 1 << 20
 
 
 def trace_to_csv(trace: RingdownTrace) -> str:
-    """time_s,value CSV of the trace, every cell written as _CSV_FLOAT."""
-    parts = [TRACE_HEADER + "\n"]
-    for lo in range(0, trace.samples.size, _CSV_CHUNK_ROWS):
-        values = trace.samples[lo : lo + _CSV_CHUNK_ROWS]
+    """time_s,value CSV of the trace, every cell written as _CSV_FLOAT.
+
+    Chunks of _CSV_CHUNK_ROWS rows are formatted on the shared pool into
+    ASCII bytes; the calling thread decodes and joins them in order.
+    """
+    samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
+
+    def rows(lo: int) -> np.ndarray:
+        values = samples[lo : lo + _CSV_CHUNK_ROWS]
         # the same expression as trace.times, evaluated for this chunk only
-        times = trace.start_time + np.arange(lo, lo + values.size) / trace.sample_rate
-        parts.append(
-            _cell_rows([_csv_float_bytes(times), ",", _csv_float_bytes(values), "\n"])
-        )
-    return "".join(parts)
+        times = start + np.arange(lo, lo + values.size) / rate
+        return _cell_bytes([_csv_float_bytes(times), ",", _csv_float_bytes(values), "\n"])
+
+    chunks = _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS))
+    return "".join([TRACE_HEADER + "\n", *(c.tobytes().decode("ascii") for c in chunks)])
 
 
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
@@ -519,7 +619,8 @@ def trace_from_csv(text: str) -> RingdownTrace:
     The body is read in slices of about _CSV_SLICE_CHARS characters,
     cut after a newline, into preallocated time and sample arrays.  A
     slice of the rows trace_to_csv writes takes the exact vectorised
-    reader _csv_float_pairs; any other slice takes _parse_rows.  Either way
+    reader _csv_float_pairs, on the shared pool; any other slice takes
+    _parse_rows, on the calling thread, in file order.  Either way
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.
 
@@ -542,14 +643,18 @@ def trace_from_csv(text: str) -> RingdownTrace:
     stop = len(text)
     while text[stop - 1].isspace():
         stop -= 1
-    while pos < stop:
-        end = text.find("\n", pos + _CSV_SLICE_CHARS, stop)
-        end = len(text) if end < 0 else end + 1
-        part = text[pos:end]
-        pos = end
-        columns = _csv_float_pairs(part)
+
+    def cut(pos: int):
+        while pos < stop:
+            end = text.find("\n", pos + _CSV_SLICE_CHARS, stop)
+            end = len(text) if end < 0 else end + 1
+            yield text[pos:end]
+            pos = end
+
+    for part, columns in _in_order(lambda part: (part, _csv_float_pairs(part)), cut(pos)):
+        pos += len(part)
         if columns is None:
-            columns = _parse_rows(part.rstrip() if end == len(text) else part).T
+            columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
         rows = len(columns[0])
         if filled + rows > size:  # lines ended by a lone CR
             size = filled + rows
