@@ -13,9 +13,11 @@ error, 3 I/O error, 4 analysis-domain error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -200,13 +202,24 @@ def cmd_ringdown_synth(args) -> int:
 
 
 def _read_trace(path: str) -> ringdown_mod.RingdownTrace:
-    # the text goes out of scope here, so it is freed before the fit runs;
-    # utf-8-sig drops the byte order mark spreadsheets put before the header
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({exc})") from exc
+    # the file's bytes go into a numpy buffer, freed before the parse, so
+    # the decoded str is the one copy of the record's text; a pipe has no
+    # size to trust, so the read runs to the end, doubling the buffer
+    with open(path, "rb", buffering=0) as fh:
+        data = np.empty(os.fstat(fh.fileno()).st_size + (1 << 16), dtype=np.uint8)
+        size = 0
+        while got := fh.readinto(memoryview(data)[size:]):
+            size += got
+            if size == data.size:
+                data = np.concatenate([data, np.empty_like(data)])
+    try:
+        # utf-8-sig drops the byte order mark spreadsheets put before the header
+        text = codecs.decode(memoryview(data)[:size], "utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({exc})") from exc
+    del data
+    if "\r" in text:  # the line ends a text-mode read would translate
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return ringdown_mod.trace_from_csv(text)
 
 

@@ -11,14 +11,16 @@ low-pass, magnitude) rather than an analytic-signal transform: it has
 no boundary artifacts on finite records and its magnitude is invariant
 to the slow uHz-scale frequency wander real oscillators show.
 
-On day-long records the elementwise and per-chunk stages (tone
-synthesis, demodulation, the trace CSV writer and reader) run their
-chunks on a small shared thread pool and take the results in order, so
-the output is the same bytes as a serial run's (see _in_order).
+On day-long records the per-chunk stages (tone synthesis, the trace
+CSV writer and reader) run their chunks on a small shared thread pool
+and take the results in order, and the envelope filters its two
+quadratures on it at once, so the output is the same bytes as a serial
+run's (see _in_order).
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -38,6 +40,7 @@ from .core import (
     FitError,
     InsufficientDataError,
     ShapeError,
+    _CSV_FLOAT_WIDTH,
     _cell_bytes,
     _csv_float_bytes,
     _csv_float_pairs,
@@ -54,14 +57,15 @@ MIN_CYCLES = 10.0
 MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
-# is allocated: `pendq ringdown synth` peaks at about 68 bytes per sample
-# (395-414 MB for a 24 h 50 Hz record of 4.32 M samples, 105 MB of it
-# the interpreter and imports), so this caps it near 2.8 GB and admits a
+# is allocated: `pendq ringdown synth` peaks at about 70 bytes per sample
+# (404-410 MB for a 24 h 50 Hz record of 4.32 M samples, 105 MB of it
+# the interpreter and imports), so this caps it near 2.9 GB and admits a
 # 7-day 50 Hz record (30.24 M samples)
 MAX_SYNTH_SAMPLES = 40_000_000
 
-# samples per chunk of the elementwise stages (tone synthesis and
-# demodulation): large enough that numpy's per-call overhead vanishes
+# samples per chunk of the elementwise stages (tone synthesis,
+# demodulation and the envelope filter's passes): large enough that
+# numpy's per-call overhead vanishes
 _CHUNK_SAMPLES = 1 << 16
 
 # threads for the chunks of a stage: the CPUs this process may run on.
@@ -109,13 +113,6 @@ def _in_order(fn, items):
         for future in pending:
             future.cancel()
         wait(pending)
-
-
-def _chunked(fn, n: int) -> None:
-    """fn(lo, hi) for the _CHUNK_SAMPLES chunks of range(n), all finished on return."""
-    starts = range(0, n, _CHUNK_SAMPLES)
-    for _ in _in_order(lambda lo: fn(lo, min(lo + _CHUNK_SAMPLES, n)), starts):
-        pass
 
 
 @dataclass(frozen=True)
@@ -264,16 +261,20 @@ def synthesize_ringdown(
             drift_phase = 2.0 * math.pi * np.cumsum(df) / sample_rate
     x = np.empty(n)
 
-    def tone(lo: int, hi: int) -> None:
+    def tone(lo: int) -> slice:
+        hi = min(lo + _CHUNK_SAMPLES, n)
         t = np.arange(lo, hi) / sample_rate
         phi = w * t
         if drift_phase is not None:
             phi += drift_phase[lo:hi]
         x[lo:hi] = amplitude * np.exp(-t / tau) * np.cos(phi)
+        return slice(lo, hi)
 
-    _chunked(tone, n)
-    if noise_rms > 0.0:
-        x += rng.normal(0.0, noise_rms, n)
+    # the calling thread draws the noise, chunk by chunk in stream order,
+    # while the pool builds the tone chunks ahead of it
+    for chunk in _in_order(tone, range(0, n, _CHUNK_SAMPLES)):
+        if noise_rms > 0.0:
+            x[chunk] += rng.normal(0.0, noise_rms, chunk.stop - chunk.start)
     return RingdownTrace(sample_rate=sample_rate, samples=x)
 
 
@@ -325,6 +326,34 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
     )
 
 
+def _filtfilt_edge(sos: np.ndarray) -> int:
+    """Samples signal.sosfiltfilt pads each end with by default."""
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    return 3 * int(ntaps)
+
+
+def _filtfilt_every(sos: np.ndarray, ext: np.ndarray, edge: int, step: int) -> np.ndarray:
+    """signal.sosfiltfilt(sos, x)[::step], bit for bit, for x = ext[edge:-edge].
+
+    Writes sosfiltfilt's odd extension into the edge samples at each end
+    of ext, then filters ext in place, forward and then backward, chunk
+    by chunk, carrying the state: one buffer, where sosfiltfilt
+    allocates three beside its input.  It calls no public function, so
+    it may run on the pool.
+    """
+    x = ext[edge:-edge]
+    ext[:edge] = 2 * x[0] - x[edge:0:-1]
+    ext[-edge:] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]
+    zi = signal.sosfilt_zi(sos)
+    # each pass starts from the steady state of its first sample
+    for view in (ext, ext[::-1]):
+        state = zi * view[0]
+        for lo in range(0, view.size, _CHUNK_SAMPLES):
+            chunk = view[lo : lo + _CHUNK_SAMPLES]
+            chunk[:], state = signal.sosfilt(sos, chunk, zi=state)
+    return x[::step].copy()
+
+
 def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude envelope by quadrature demodulation at f0.
 
@@ -346,20 +375,24 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     # decimate to the lowpass corner rate so samples are near-independent,
     # which keeps the binned standard errors honest
     step = max(1, int(rate / corner))
-    raw = np.empty(n)
-    quadratures = []
-    for wave in (np.cos, np.sin):
+    edge = _filtfilt_edge(sos)
+    if n <= edge:
+        raise ShapeError(f"envelope needs more than {edge} samples, got {n}")
 
-        def demodulate(lo: int, hi: int, wave=wave) -> None:
+    def quadrature(wave) -> np.ndarray:
+        ext = np.empty(n + 2 * edge)
+        for lo in range(0, n, _CHUNK_SAMPLES):
+            hi = min(lo + _CHUNK_SAMPLES, n)
             # the same expression as trace.times, evaluated for this chunk only
             t = start + np.arange(lo, hi) / rate
-            np.multiply(samples[lo:hi], wave(w * t), out=raw[lo:hi])
+            np.multiply(samples[lo:hi], wave(w * t), out=ext[edge + lo : edge + hi])
+        return _filtfilt_every(sos, ext, edge, step)
 
-        _chunked(demodulate, n)
-        # a second thread does not speed sosfiltfilt up, so each quadrature
-        # is filtered whole in turn and only its decimated copy is kept
-        quadratures.append(signal.sosfiltfilt(sos, raw)[::step].copy())
-    return start + np.arange(0, n, step) / rate, 2.0 * np.hypot(*quadratures)
+    # numpy and sosfilt release the GIL, so on a record of more than one
+    # chunk the two quadratures run on the pool at once
+    chains = map if n <= _CHUNK_SAMPLES else _in_order
+    i_lp, q_lp = chains(quadrature, (np.cos, np.sin))
+    return start + np.arange(0, n, step) / rate, 2.0 * np.hypot(i_lp, q_lp)
 
 
 def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
@@ -550,8 +583,10 @@ TRACE_HEADER = "time_s,value"
 
 # rows per formatting chunk and characters per parsing slice: large
 # enough that numpy's per-call overhead vanishes, small enough that the
-# temporaries stay a few MB on day-long records
-_CSV_CHUNK_ROWS = 1 << 16
+# temporaries stay a few MB on day-long records.  At 1 << 16 rows the
+# allocator maps and unmaps a chunk's temporaries afresh, and a 24 h
+# record's CSV took twice the page faults of the text itself
+_CSV_CHUNK_ROWS = 1 << 15
 _CSV_SLICE_CHARS = 1 << 20
 
 
@@ -559,7 +594,8 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     """time_s,value CSV of the trace, every cell written as _CSV_FLOAT.
 
     Chunks of _CSV_CHUNK_ROWS rows are formatted on the shared pool into
-    ASCII bytes; the calling thread decodes and joins them in order.
+    ASCII bytes; the calling thread copies them, in order, into one
+    buffer and decodes it once, so the text is never held in parts.
     """
     samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
 
@@ -569,8 +605,16 @@ def trace_to_csv(trace: RingdownTrace) -> str:
         times = start + np.arange(lo, lo + values.size) / rate
         return _cell_bytes([_csv_float_bytes(times), ",", _csv_float_bytes(values), "\n"])
 
-    chunks = _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS))
-    return "".join([TRACE_HEADER + "\n", *(c.tobytes().decode("ascii") for c in chunks)])
+    head = np.frombuffer((TRACE_HEADER + "\n").encode("ascii"), dtype=np.uint8)
+    # rows are at most two widest cells, "," and "\n"; pages the text
+    # does not reach are never touched
+    text = np.empty(head.size + samples.size * (2 * _CSV_FLOAT_WIDTH + 2), dtype=np.uint8)
+    text[: head.size] = head
+    end = head.size
+    for chunk in _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS)):
+        text[end : end + chunk.size] = chunk
+        end += chunk.size
+    return codecs.decode(memoryview(text)[:end], "ascii")
 
 
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
@@ -635,7 +679,9 @@ def trace_from_csv(text: str) -> RingdownTrace:
     if not head or head[0].strip() != TRACE_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_HEADER!r}")
     pos = len(head[0])
-    size = text.count("\n", pos) + 1
+    # a row holds at least "a,b" and a line end, so this many rows fit;
+    # the pages past the last row are never touched
+    size = (len(text) - pos) // 4 + 2
     times, samples = np.empty(size), np.empty(size)
     filled = 0
     # the last slice holds the last non-whitespace character and runs to
@@ -656,10 +702,6 @@ def trace_from_csv(text: str) -> RingdownTrace:
         if columns is None:
             columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
         rows = len(columns[0])
-        if filled + rows > size:  # lines ended by a lone CR
-            size = filled + rows
-            times = np.concatenate([times[:filled], np.empty(rows)])
-            samples = np.concatenate([samples[:filled], np.empty(rows)])
         times[filled : filled + rows], samples[filled : filled + rows] = columns
         filled += rows
     if filled < 2:
@@ -675,7 +717,9 @@ def trace_from_csv(text: str) -> RingdownTrace:
     dt -= step
     if np.any(np.abs(dt, out=dt) > 1e-6 * step):
         raise DomainError("trace times must be uniformly sampled")
-    return RingdownTrace(sample_rate=1.0 / step, samples=samples[:filled], start_time=start_time)
+    # hands the unfilled tail back, so the samples own no more than they hold
+    samples.resize(filled, refcheck=False)
+    return RingdownTrace(sample_rate=1.0 / step, samples=samples, start_time=start_time)
 
 
 def fit_to_json(fit: RingdownFit) -> str:

@@ -636,3 +636,55 @@ def test_substrate_loss_angle_zero_exits_2(capsys):
     assert cli.main(["check", "--set", "test_mass.substrate_loss_angle=0"]) == 2
     err = capsys.readouterr().err
     assert err == "config error: substrate_loss_angle must be > 0, got 0.0\n"
+
+
+# ---------------------------------------------------------------------------
+# reading a trace: pipes, byte order marks, line ends
+# ---------------------------------------------------------------------------
+
+def _fit_through_a_pipe(data: bytes) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pendq.cli", "ringdown", "fit", "/dev/stdin"],
+        input=data, capture_output=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_ringdown_fit_reads_a_pipe(bom, capsys):
+    # the fixture is several times the read's first buffer, so it grows
+    assert cli.main(["ringdown", "fit", str(FIXTURE)]) == 0
+    expected = capsys.readouterr().out.encode()
+    proc = _fit_through_a_pipe(bom + FIXTURE.read_bytes())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_ringdown_fit_line_ends_give_the_same_json(end, tmp_path, capsys):
+    assert cli.main(["ringdown", "fit", str(FIXTURE)]) == 0
+    expected = capsys.readouterr().out
+    other = tmp_path / "ends.csv"
+    other.write_bytes(FIXTURE.read_bytes().replace(b"\n", end.encode()))
+    assert cli.main(["ringdown", "fit", str(other)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe" + "time_s,value\n0,1\n".encode("utf-16-le"),
+        b"\xef\xbb\xbftime_s,value\n0,1\n\xe9\n",
+        b"time_s,value\n" + b"0,1\n" * 30000 + b"\xc3",
+    ],
+    ids=["utf-16", "latin-1-after-a-mark", "truncated-at-the-end"],
+)
+def test_ringdown_fit_non_utf8_message(data, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    # the message a text-mode read gives
+    with pytest.raises(UnicodeDecodeError) as exc:
+        with open(bad, encoding="utf-8-sig") as fh:
+            fh.read()
+    assert cli.main(["ringdown", "fit", str(bad)]) == 4
+    message = f"malformed trace CSV {bad}: not UTF-8 text ({exc.value})"
+    assert message in capsys.readouterr().err

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from pendq import DomainError
+from pendq import DomainError, ShapeError
 from pendq import ringdown as rd
 from pendq.core import _CSV_FLOAT
 
@@ -354,3 +354,66 @@ def test_design_and_short_ringdown_paths_start_no_thread():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split("\n")[-2] == "[0, 0, 0] 1"
+
+
+# ---------------------------------------------------------------------------
+# the lean zero-phase filter and the concurrent quadratures
+# ---------------------------------------------------------------------------
+
+# (f0, sample_rate): decimation steps of 90, 80 and 1333 samples
+FILTER_RATES = [(2.2, 50.0), (1.0, 20.0), (3.0, 1000.0)]
+
+
+def _lowpass(f0, rate):
+    corner = f0 / 4.0
+    sos = signal.butter(4, corner, btype="low", fs=rate, output="sos")
+    return sos, max(1, int(rate / corner))
+
+
+@pytest.mark.parametrize("f0, rate", FILTER_RATES)
+@pytest.mark.parametrize("size", ["edge+1", 12001, "chunk-1", "chunk+1", "2chunks-1",
+                                  "2chunks+1", "3chunks+17"])
+def test_filtfilt_every_matches_sosfiltfilt(f0, rate, size):
+    sos, step = _lowpass(f0, rate)
+    edge = rd._filtfilt_edge(sos)
+    chunk = rd._CHUNK_SAMPLES
+    n = {"edge+1": edge + 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1,
+         "2chunks-1": 2 * chunk - 1, "2chunks+1": 2 * chunk + 1,
+         "3chunks+17": 3 * chunk + 17}.get(size, size)
+    x = np.random.default_rng(n).standard_normal(n) + 3.0
+    ext = np.empty(n + 2 * edge)
+    ext[edge:-edge] = x
+    assert edge == 3 * (2 * len(sos) + 1)  # sosfiltfilt's default padlen
+    got = rd._filtfilt_every(sos, ext, edge, step)
+    assert got.tobytes() == signal.sosfiltfilt(sos, x)[::step].tobytes()
+
+
+@pytest.mark.parametrize("f0, rate", FILTER_RATES)
+@pytest.mark.parametrize("chunks, extra", [(1, 1), (2, -1), (3, 5)])
+def test_envelope_quadratures_match_whole_array_expression(workers, f0, rate, chunks, extra):
+    n = chunks * rd._CHUNK_SAMPLES + extra
+    raw = np.random.default_rng(chunks).standard_normal(n)
+    trace = rd.RingdownTrace(rate, raw + np.cos(2.0 * math.pi * f0 * np.arange(n) / rate),
+                             start_time=-3.25)
+    t, a = rd.envelope(trace, f0)
+    t_ref, a_ref = _serial_envelope(trace, f0)
+    assert (t.tobytes(), a.tobytes()) == (t_ref.tobytes(), a_ref.tobytes())
+
+
+def test_envelope_refuses_a_record_shorter_than_the_filter_padding():
+    sos, _ = _lowpass(2.2, 50.0)
+    edge = rd._filtfilt_edge(sos)
+    with pytest.raises(ShapeError, match=f"more than {edge} samples, got {edge}"):
+        rd.envelope(rd.RingdownTrace(50.0, np.ones(edge)), 2.2)
+    assert rd.envelope(rd.RingdownTrace(50.0, np.ones(edge + 1)), 2.2)[1].size == 1
+
+
+@pytest.mark.parametrize("drift_uhz", [None, 50.0])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_synthesize_noise_drawn_by_chunk_matches_one_draw(workers, drift_uhz, extra):
+    n = 3 * rd._CHUNK_SAMPLES + extra
+    kwargs = dict(f0=2.2, q=2000.0, sample_rate=50.0, duration=n / 50.0, noise_rms=0.4,
+                  seed=14, drift_uhz=drift_uhz)
+    x = rd.synthesize_ringdown(**kwargs).samples
+    assert x.size == n
+    assert x.tobytes() == _serial_synthesize(**kwargs).tobytes()

@@ -358,3 +358,43 @@ def test_writer_output_never_reaches_loadtxt(monkeypatch):
     texts = [rd.trace_to_csv(trace) for trace in traces] + [FIXTURE.read_text()]
     for text in texts:
         assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+
+
+# ---------------------------------------------------------------------------
+# the row bound: at least "a,b" and a line end per row
+# ---------------------------------------------------------------------------
+
+def _minimal_rows(end: str, final: bool) -> str:
+    """Ten rows of three characters each, the shortest a row can be."""
+    body = end.join(f"{k},1" for k in range(10))
+    return "time_s,value" + end + body + (end if final else "")
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+def test_shortest_rows_parse_within_the_row_bound(monkeypatch, slice_chars, final, end):
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
+    text = _minimal_rows(end, final)
+    trace = rd.trace_from_csv(text)
+    assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+    assert trace.samples.size == 10
+    # the unfilled rows went back: the samples own exactly what they hold
+    assert trace.samples.base is None and trace.samples.flags.owndata
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+def test_parsed_samples_own_no_oversized_buffer(monkeypatch, slice_chars):
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
+    text = FIXTURE.read_text()
+    samples = rd.trace_from_csv(text).samples
+    assert samples.base is None and samples.flags.owndata
+    assert samples.nbytes == 8 * (len(text.strip().splitlines()) - 1)
+
+
+def test_trace_to_csv_fills_its_bound_with_the_widest_rows():
+    # every cell of every row is a widest cell: sign, 9 digits, 3-digit exponent
+    trace = rd.RingdownTrace(1.0, np.full(1000, -1.23456789e-300), start_time=-9.87654321e300)
+    text = rd.trace_to_csv(trace)
+    assert text == _reference_csv(trace)
+    assert len(text) == len(rd.TRACE_HEADER) + 1 + 1000 * (2 * 16 + 2)
