@@ -25,7 +25,7 @@ from .core import (
     ShapeError,
     TestMass,
     _cell_rows,
-    _csv_float_bytes,
+    _csv_text,
     _json_float_bytes,
     _require_positive,
 )
@@ -324,23 +324,21 @@ def thermal_sub_sql_band(model: PendulumModel, grid_hz) -> list[tuple[float, flo
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 
 
-def _grid_cells(spectra, cell_bytes):
-    """(spectrum, cells of its frequencies) pairs; a grid shared with the
-    spectrum before is formatted once."""
+def _grid_cells(spectra):
+    """(spectrum, JSON cells of its frequencies) pairs; a grid shared with
+    the spectrum before is formatted once."""
     grid = cells = None
     for spec in spectra:
         if grid is None or not np.array_equal(spec.frequencies, grid):
-            grid, cells = spec.frequencies, cell_bytes(spec.frequencies)
+            grid, cells = spec.frequencies, _json_float_bytes(spec.frequencies)
         yield spec, cells
 
 
 def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:
     """Long-format CSV, one block per spectrum, deterministic bytes."""
-    parts = [CSV_HEADER + "\n"]
-    for spec, freq_cells in _grid_cells(spectra, _csv_float_bytes):
-        row = [freq_cells, ",", _csv_float_bytes(spec.asd), f",{spec.label}\n"]
-        parts.append(_cell_rows(row))
-    return "".join(parts)
+    return CSV_HEADER + "\n" + "".join(
+        _csv_text([spec.frequencies, spec.asd], f",{spec.label}\n") for spec in spectra
+    )
 
 
 def _json_array(cells: np.ndarray) -> str:
@@ -352,7 +350,7 @@ def spectra_to_json(spectra: list[NoiseSpectrum]) -> str:
     """The spectra as json.dumps(indent=2, sort_keys=True) writes them,
     each number the float nearest its _CSV_FLOAT cell."""
     blocks = []
-    for spec, freq_cells in _grid_cells(spectra, _json_float_bytes):
+    for spec, freq_cells in _grid_cells(spectra):
         blocks.append(
             '    {\n      "asd_m_per_sqrthz": [\n'
             + _json_array(_json_float_bytes(spec.asd))

@@ -33,7 +33,7 @@ from .config import (
     load_raw,
     set_numeric,
 )
-from .core import ConfigError, DomainError, FitError, ShapeError, _cell_rows, _csv_float_bytes
+from .core import ConfigError, DomainError, FitError, ShapeError, _csv_text
 from .suspension import (
     ideal_pendulum_q,
     measurement_band_edge,
@@ -53,12 +53,20 @@ EXIT_ANALYSIS = 4
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+# characters per write of a file output: each piece's encoded copy stays
+# below glibc's default 128 KB mmap threshold, so the heap reuses one
+# piece's memory for the next, where a whole day-long record's 132 MB
+# copy (or 1 MB pieces) is mapped and faulted in afresh
+_WRITE_CHARS = 1 << 16
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[lo : lo + _WRITE_CHARS])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,7 @@ def cmd_sweep(args) -> int:
     for v in values:
         set_numeric(raw, args.param, float(v))  # build_config keeps no reference to raw
         results.append(metric(build_config(raw)))
-    rows = _cell_rows([_csv_float_bytes(values), ",", _csv_float_bytes(results), "\n"])
+    rows = _csv_text([values, results], "\n")
     _write_text(args.out, f"{args.param},{args.metric}\n" + rows)
     return EXIT_OK
 

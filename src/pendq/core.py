@@ -12,6 +12,7 @@ between threads.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import warnings
@@ -278,6 +279,9 @@ _DIGIT_QUADS = np.frombuffer(
 _EXPONENTS = np.frombuffer(
     "".join(f"e{k:+03d}" for k in range(-99, 100)).encode("ascii"), dtype="V4"
 )
+# "0.".."9." as 2-byte cells, and "," for _csv_rows
+_LEAD_DOTS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), dtype="V2")
+_COMMA = np.frombuffer(b",", dtype=np.uint8)
 # widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
 _CSV_FLOAT_WIDTH = 16
 # widest JSON number cell: sign, 16 integer digits, ".", 1 digit
@@ -326,26 +330,67 @@ def _put_exact(cells: np.ndarray, bad: np.ndarray, exact: list[str]) -> np.ndarr
     return cells
 
 
-def _csv_float_bytes(values) -> np.ndarray:
-    """Cells of _CSV_FLOAT % v as ASCII rows, NUL padded to _CSV_FLOAT_WIDTH.
+def _csv_rows(columns, suffix: str) -> np.ndarray:
+    """UTF-8 bytes of one row per index of the equal-length columns: the
+    row's _CSV_FLOAT cells joined by "," and then suffix.
 
-    Cells _sci_digits cannot get right fall back to Python's formatting.
+    A plain cell is [-]d.dddddddde±dd.  Each column's cells are laid out
+    once, dense and unsigned, ending in "," (the last column's in
+    suffix), and copied to their computed byte offsets in the text as
+    fixed-width spans, after a "-" where the cell is negative.  A row
+    holding a cell _sci_digits cannot get right is formatted whole with
+    Python's %; its plain spans land past the end and are cut off.
     """
-    x = np.asarray(values, dtype=float)
-    ok, d, e = _sci_digits(x)
-    lead, rest = np.divmod(d, 100_000_000)
-    high, low = np.divmod(rest, 10_000)
-    cells = np.zeros((x.size, _CSV_FLOAT_WIDTH), dtype=np.uint8)
-    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
-    cells[:, 1] = lead + ord("0")
-    cells[:, 2] = ord(".")
-    quads = ((3, _DIGIT_QUADS, high), (7, _DIGIT_QUADS, low), (11, _EXPONENTS, e + 99))
-    for col, table, index in quads:
-        cells[:, col : col + 4].view("V4")[:, 0] = table[index]
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        cells = _put_exact(cells, bad, [_CSV_FLOAT % v for v in x[bad].tolist()])
-    return cells
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    ends = [_COMMA] * (len(cols) - 1) + [
+        np.frombuffer(suffix.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ]
+    ok = np.ones(cols[0].shape, dtype=bool)
+    spans = []
+    for x, end in zip(cols, ends):
+        cell_ok, d, e = _sci_digits(x)
+        ok &= cell_ok
+        # floor division by a scalar is several times faster than np.divmod
+        upper = d // 10_000
+        lead = upper // 10_000
+        high, low = upper - lead * 10_000, d - upper * 10_000
+        span = np.empty((x.size, 14 + end.size), dtype=np.uint8)
+        span[:, 0:2].view("V2")[:, 0] = _LEAD_DOTS[lead]
+        span[:, 2:6].view("V4")[:, 0] = _DIGIT_QUADS[high]
+        span[:, 6:10].view("V4")[:, 0] = _DIGIT_QUADS[low]
+        span[:, 10:14].view("V4")[:, 0] = _EXPONENTS[e + 99]
+        span[:, 14:] = end
+        spans.append((x < 0.0, span))
+    plain = sum(span.shape[1] + 1 for _, span in spans)  # widest plain row
+    width = sum(neg + span.shape[1] for neg, span in spans)
+    slow = np.flatnonzero(~ok)
+    exact = [
+        (",".join(_CSV_FLOAT % v for v in row) + suffix).encode("utf-8", "surrogatepass")
+        for row in zip(*(x[slow].tolist() for x in cols))
+    ]
+    width[slow] = [len(row) for row in exact]
+    stop = np.cumsum(width)
+    total = int(stop[-1]) if stop.size else 0
+    out = np.empty(total + plain, dtype=np.uint8)
+    at = stop - width
+    at[slow] = total
+    for neg, span in spans:
+        out[at] = np.where(neg, ord("-"), 0)  # a plain cell's first digit overwrites the 0
+        at += neg
+        w = span.shape[1]
+        windows = np.ndarray((out.size - w + 1,), dtype=f"V{w}", buffer=out, strides=(1,))
+        windows[at] = span.view(f"V{w}")[:, 0]
+        at += w
+    if slow.size:
+        lengths = width[slow]
+        shift = np.repeat(stop[slow] - np.cumsum(lengths), lengths)
+        out[shift + np.arange(shift.size)] = np.frombuffer(b"".join(exact), dtype=np.uint8)
+    return out[:total]
+
+
+def _csv_text(columns, suffix: str) -> str:
+    """The text of _csv_rows(columns, suffix)."""
+    return codecs.decode(_csv_rows(columns, suffix), "utf-8", "surrogatepass")
 
 
 def _word(octets: bytes) -> np.uint64:
@@ -379,7 +424,7 @@ def _eight_digits(v: np.ndarray) -> np.ndarray:
 def _csv_float_pairs(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The two columns of rows of two _CSV_FLOAT cells, or None if a row is not one.
 
-    The reading mirror of _csv_float_bytes.  A canonical row is two cells
+    The reading mirror of _csv_rows.  A canonical row is two cells
     [-]d.dddddddde±dd[d] joined by "," and ended by "\\n"; any other text
     (CRLF, spaces, "1_0", "nan", short cells, non-ASCII) gives None, and
     the caller takes a general parser.  A cell is its 9-digit integer

@@ -21,6 +21,7 @@ run's (see _in_order).
 from __future__ import annotations
 
 import codecs
+import functools
 import json
 import math
 import os
@@ -41,9 +42,8 @@ from .core import (
     InsufficientDataError,
     ShapeError,
     _CSV_FLOAT_WIDTH,
-    _cell_bytes,
-    _csv_float_bytes,
     _csv_float_pairs,
+    _csv_rows,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -332,19 +332,32 @@ def _filtfilt_edge(sos: np.ndarray) -> int:
     return 3 * int(ntaps)
 
 
-def _filtfilt_every(sos: np.ndarray, ext: np.ndarray, edge: int, step: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _lowpass(corner: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope's 4th-order Butterworth low-pass as sos, and its
+    signal.sosfilt_zi, designed once per (corner, rate).  The arrays are
+    shared between calls and threads, so nothing may write to them."""
+    sos = signal.butter(4, corner, btype="low", fs=rate, output="sos")
+    return sos, signal.sosfilt_zi(sos)
+
+
+def _filtfilt_every(
+    sos: np.ndarray, ext: np.ndarray, edge: int, step: int, zi: np.ndarray | None = None
+) -> np.ndarray:
     """signal.sosfiltfilt(sos, x)[::step], bit for bit, for x = ext[edge:-edge].
 
     Writes sosfiltfilt's odd extension into the edge samples at each end
     of ext, then filters ext in place, forward and then backward, chunk
     by chunk, carrying the state: one buffer, where sosfiltfilt
-    allocates three beside its input.  It calls no public function, so
-    it may run on the pool.
+    allocates three beside its input.  zi is signal.sosfilt_zi(sos),
+    computed here when not given.  It calls no public function, so it
+    may run on the pool.
     """
     x = ext[edge:-edge]
     ext[:edge] = 2 * x[0] - x[edge:0:-1]
     ext[-edge:] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]
-    zi = signal.sosfilt_zi(sos)
+    if zi is None:
+        zi = signal.sosfilt_zi(sos)
     # each pass starts from the steady state of its first sample
     for view in (ext, ext[::-1]):
         state = zi * view[0]
@@ -371,7 +384,7 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     n = samples.size
     w = 2.0 * math.pi * f0
     corner = f0 / 4.0
-    sos = signal.butter(4, corner, btype="low", fs=rate, output="sos")
+    sos, zi = _lowpass(corner, rate)
     # decimate to the lowpass corner rate so samples are near-independent,
     # which keeps the binned standard errors honest
     step = max(1, int(rate / corner))
@@ -386,7 +399,7 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
             # the same expression as trace.times, evaluated for this chunk only
             t = start + np.arange(lo, hi) / rate
             np.multiply(samples[lo:hi], wave(w * t), out=ext[edge + lo : edge + hi])
-        return _filtfilt_every(sos, ext, edge, step)
+        return _filtfilt_every(sos, ext, edge, step, zi)
 
     # numpy and sosfilt release the GIL, so on a record of more than one
     # chunk the two quadratures run on the pool at once
@@ -603,7 +616,7 @@ def trace_to_csv(trace: RingdownTrace) -> str:
         values = samples[lo : lo + _CSV_CHUNK_ROWS]
         # the same expression as trace.times, evaluated for this chunk only
         times = start + np.arange(lo, lo + values.size) / rate
-        return _cell_bytes([_csv_float_bytes(times), ",", _csv_float_bytes(values), "\n"])
+        return _csv_rows([times, values], "\n")
 
     head = np.frombuffer((TRACE_HEADER + "\n").encode("ascii"), dtype=np.uint8)
     # rows are at most two widest cells, "," and "\n"; pages the text

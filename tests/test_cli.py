@@ -281,6 +281,23 @@ def test_sweep_q_ideal_scaling(tmp_path):
         assert math.isclose(q1 / q2, (r2 / r1) ** 2, rel_tol=1e-6)
 
 
+def test_sweep_writes_nan_where_there_is_no_band(tmp_path):
+    # above about 1e4 K the thermal noise never dips below the SQL
+    out = tmp_path / "sweep.csv"
+    assert cli.main(
+        ["sweep", "--param", "environment.temperature", "--from", "1", "--to", "1e7",
+         "--steps", "8", "--log", "--metric", "sub_sql_lo", "--out", str(out)]
+    ) == 0
+    text = out.read_bytes().decode("ascii")
+    lines = text.splitlines()
+    assert lines[0] == "environment.temperature,sub_sql_lo"
+    assert lines[5:] == [f"1.00000000e+0{k},nan" for k in range(4, 8)]
+    assert all(not math.isnan(float(ln.split(",")[1])) for ln in lines[1:5])
+    # every row as Python's % writes it
+    rows = ["%.8e,%.8e" % tuple(map(float, ln.split(","))) for ln in lines[1:]]
+    assert text == "\n".join([lines[0], *rows]) + "\n"
+
+
 def test_sweep_log_spacing(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(

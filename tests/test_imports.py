@@ -68,3 +68,31 @@ def test_benchmark_traced_names_resolve():
         module = importlib.import_module(f"pendq.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"pendq.{module_name}.{name}"
+
+
+def test_benchmark_codec_contract(tmp_path, monkeypatch):
+    # the benchmark's trace times these two layers through the CLI and
+    # encodes the text each one returns or takes; a CLI that stopped
+    # calling them would leave the layers unreached
+    from pendq import cli, ringdown
+
+    calls = []
+    to_csv, from_csv = ringdown.trace_to_csv, ringdown.trace_from_csv
+
+    def spy_to_csv(trace):
+        text = to_csv(trace)
+        calls.append(("trace_to_csv", type(text)))
+        return text
+
+    def spy_from_csv(text):
+        calls.append(("trace_from_csv", type(text)))
+        return from_csv(text)
+
+    monkeypatch.setattr(ringdown, "trace_to_csv", spy_to_csv)
+    monkeypatch.setattr(ringdown, "trace_from_csv", spy_from_csv)
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["ringdown", "synth", "--duration", "240", "--noise-rms", "0.1",
+                     "--out", str(trace)]) == 0
+    assert calls == [("trace_to_csv", str)]
+    assert cli.main(["ringdown", "fit", str(trace), "--out", str(tmp_path / "fit.json")]) == 0
+    assert calls == [("trace_to_csv", str), ("trace_from_csv", str)]

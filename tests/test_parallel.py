@@ -400,6 +400,23 @@ def test_envelope_quadratures_match_whole_array_expression(workers, f0, rate, ch
     assert (t.tobytes(), a.tobytes()) == (t_ref.tobytes(), a_ref.tobytes())
 
 
+def test_envelope_low_pass_cache_is_keyed_on_corner_and_rate():
+    # one f0 at two rates and two f0 at one rate: a cache keyed on the
+    # corner alone, or on the rate alone, would hand one of them the
+    # other's filter
+    rd._lowpass.cache_clear()
+    pairs = [(2.2, 50.0), (2.2, 40.0), (1.1, 50.0)] * 2
+    for k, (f0, rate) in enumerate(pairs):
+        n = 4000 + k
+        raw = np.random.default_rng(k).standard_normal(n)
+        trace = rd.RingdownTrace(rate, raw + np.cos(2.0 * math.pi * f0 * np.arange(n) / rate))
+        t, a = rd.envelope(trace, f0)
+        t_ref, a_ref = _serial_envelope(trace, f0)
+        assert (t.tobytes(), a.tobytes()) == (t_ref.tobytes(), a_ref.tobytes())
+    info = rd._lowpass.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
 def test_envelope_refuses_a_record_shorter_than_the_filter_padding():
     sos, _ = _lowpass(2.2, 50.0)
     edge = rd._filtfilt_edge(sos)

@@ -17,14 +17,20 @@ from hypothesis import strategies as st
 
 from pendq import DomainError
 from pendq import ringdown as rd
-from pendq.core import _CSV_FLOAT, _csv_float_bytes, _csv_float_pairs
+from pendq.core import _CSV_FLOAT, _csv_float_pairs, _csv_rows
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 
 
 def _cells(values) -> list[str]:
-    rows = _csv_float_bytes(np.asarray(values, dtype=float))
-    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+    return _csv_rows([values], "\n").tobytes().decode("ascii").splitlines()
+
+
+def _reference_rows(columns, suffix: str) -> bytes:
+    """Rows of _CSV_FLOAT cells written one by one with Python's %."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    text = "".join(",".join(_CSV_FLOAT % v for v in row) + suffix for row in rows)
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _reference_csv(trace: rd.RingdownTrace) -> str:
@@ -108,8 +114,57 @@ _NEAR_POWERS = st.tuples(st.integers(-320, 308), st.sampled_from([-np.inf, 0.0, 
 @example([1e100, -1e-100, 1.7976931348623157e308, 9.9999999995e99, 1e-99])
 @example([9.999999995e-5, 9.9999999949e-5, 1e22, 1e23, 1e-14, 1e-15, 99999999.95])
 @example([1234567885.0, 1234567895.0, 0.5, 1.000000005, 2.5e-8])
-def test_csv_float_bytes_matches_percent_format(values):
+def test_csv_rows_matches_percent_format(values):
     assert _cells(values) == [_CSV_FLOAT % v for v in values]
+
+
+# cells the row writer cannot lay out from digits: zeros, non-finite
+# values, 3-digit exponents, values beyond 10^+-44 and near-ties
+_SLOW = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e100, -1e-100, 1e-45, -1e53,
+         99999999.95, 1.000000005, 9.999999995e-5]
+_SUFFIXES = ["\n", ",suspension thermal\n", ",la\0bé\n", ",a,b\n", ",\ud800x\n"]
+
+
+@pytest.mark.parametrize("slow", _SLOW)
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_csv_rows_slow_row_between_plain_rows(column, slow):
+    plain = np.array([[1.5, -2.25e-18, 3e7], [-4.0, 5.5e-3, -6e12], [7.0, 8.0, 9.0]])
+    for at in range(4):  # first, between, between, last
+        columns = np.insert(plain, at, [1.25, -0.5, 2e-9], axis=0).T.copy()
+        columns[column, at] = slow
+        for suffix in _SUFFIXES:
+            assert _csv_rows(columns, suffix).tobytes() == _reference_rows(columns, suffix)
+
+
+@pytest.mark.parametrize("suffix", _SUFFIXES)
+def test_csv_rows_every_sign_pattern(suffix):
+    signs = np.array([[(k >> j) & 1 for j in range(3)] for k in range(8)], dtype=float)
+    columns = (np.array([1.234567891e-7, 9.87654321e20, 5.0]) * (1.0 - 2.0 * signs)).T
+    columns = np.concatenate([columns, columns[:, ::-1]], axis=1)
+    assert _csv_rows(columns, suffix).tobytes() == _reference_rows(columns, suffix)
+    assert _csv_rows(columns[:1], suffix).tobytes() == _reference_rows(columns[:1], suffix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(*[st.one_of(st.floats(), st.sampled_from(_SLOW))] * k),
+            min_size=1,
+            max_size=30,
+        )
+    ),
+    st.sampled_from(_SUFFIXES),
+)
+def test_csv_rows_match_per_row_reference(rows, suffix):
+    columns = np.array(rows, dtype=float).T
+    assert _csv_rows(columns, suffix).tobytes() == _reference_rows(columns, suffix)
+
+
+def test_csv_rows_all_slow_and_empty():
+    columns = np.array([_SLOW, _SLOW[::-1]])
+    assert _csv_rows(columns, "\n").tobytes() == _reference_rows(columns, "\n")
+    assert _csv_rows([np.empty(0), np.empty(0)], "\n").size == 0
 
 
 @pytest.mark.parametrize("chunk_rows", [rd._CSV_CHUNK_ROWS, 777])
