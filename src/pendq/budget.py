@@ -324,16 +324,6 @@ def thermal_sub_sql_band(model: PendulumModel, grid_hz) -> list[tuple[float, flo
 CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 
 
-def _grid_cells(spectra):
-    """(spectrum, JSON cells of its frequencies) pairs; a grid shared with
-    the spectrum before is formatted once."""
-    grid = cells = None
-    for spec in spectra:
-        if grid is None or not np.array_equal(spec.frequencies, grid):
-            grid, cells = spec.frequencies, _json_float_bytes(spec.frequencies)
-        yield spec, cells
-
-
 def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:
     """Long-format CSV, one block per spectrum, deterministic bytes."""
     return CSV_HEADER + "\n" + "".join(
@@ -341,21 +331,24 @@ def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:
     )
 
 
-def _json_array(cells: np.ndarray) -> str:
+def _json_array(values) -> str:
     # one number per line at the arrays' depth, a comma after all but the last
-    return _cell_rows([" " * 8, cells, ",\n"])[:-2] + "\n"
+    return _cell_rows([" " * 8, _json_float_bytes(values), ",\n"])[:-2] + "\n"
 
 
 def spectra_to_json(spectra: list[NoiseSpectrum]) -> str:
     """The spectra as json.dumps(indent=2, sort_keys=True) writes them,
     each number the float nearest its _CSV_FLOAT cell."""
     blocks = []
-    for spec, freq_cells in _grid_cells(spectra):
+    grid = freq_text = None
+    for spec in spectra:
+        if grid is None or not np.array_equal(spec.frequencies, grid):
+            grid, freq_text = spec.frequencies, _json_array(spec.frequencies)
         blocks.append(
             '    {\n      "asd_m_per_sqrthz": [\n'
-            + _json_array(_json_float_bytes(spec.asd))
+            + _json_array(spec.asd)
             + '      ],\n      "frequency_hz": [\n'
-            + _json_array(freq_cells)
+            + freq_text
             + f'      ],\n      "label": {json.dumps(spec.label)}\n    }}'
         )
     if not blocks:

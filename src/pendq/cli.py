@@ -130,7 +130,8 @@ OVERLAY_HEADER = "mass_kg,dissipation_per_s"
 
 
 def _read_overlay(path: str) -> list[Point]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark spreadsheets put before the header
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = [ln.strip() for ln in fh if ln.strip()]
         except UnicodeDecodeError as exc:
@@ -146,6 +147,8 @@ def _read_overlay(path: str) -> list[Point]:
             mass, gamma = float(cells[0]), float(cells[1])
         except ValueError as exc:
             raise ConfigError(f"malformed overlay row {ln!r}: {exc}") from exc
+        if not (math.isfinite(mass) and math.isfinite(gamma)):
+            raise ConfigError(f"malformed overlay row {ln!r}: cells must be finite")
         label = cells[2].strip() if len(cells) > 2 else ""
         points.append(Point(label, mass, gamma))
     return points
@@ -372,7 +375,8 @@ def _parser() -> argparse.ArgumentParser:
     rd = p.add_subparsers(dest="subcommand", required=True)
 
     ps = rd.add_parser("synth", help="write a synthetic ring-down trace CSV")
-    ps.add_argument("--f0", type=float, default=2.2, help="tone frequency [Hz]")
+    ps.add_argument("--f0", type=float, default=PAPER_PRESET["ringdown"]["f0"],
+                    help="tone frequency [Hz]")
     ps.add_argument("--q", type=float, default=2000.0, help="quality factor")
     ps.add_argument("--sample-rate", type=float, default=50.0, help="[Hz]")
     ps.add_argument("--duration", type=float, default=240.0, help="[s]")

@@ -279,9 +279,8 @@ _DIGIT_QUADS = np.frombuffer(
 _EXPONENTS = np.frombuffer(
     "".join(f"e{k:+03d}" for k in range(-99, 100)).encode("ascii"), dtype="V4"
 )
-# "0.".."9." as 2-byte cells, and "," for _csv_rows
+# "0.".."9." as 2-byte cells
 _LEAD_DOTS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), dtype="V2")
-_COMMA = np.frombuffer(b",", dtype=np.uint8)
 # widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
 _CSV_FLOAT_WIDTH = 16
 # widest JSON number cell: sign, 16 integer digits, ".", 1 digit
@@ -298,26 +297,44 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ok, digits, e): _CSV_FLOAT % x is digits / 10^8 * 10^e where ok.
 
     With e = floor(log10|x|), the 9 significant digits are rint(m) for
-    m = |x| 10^(8-e).  The scale is one exact power of ten for
-    |8 - e| <= 22 and two beyond, up to 44, so m is rounded at most
-    twice: within 2.3e-7 of the true scaled value, since m < 2^30.  Not
-    ok are the cells this cannot get right: near-ties of the last digit
-    (rint may round the other way than the exact decimal expansion), a
-    log10 off by one (rint(m) outside [1e8, 1e9)), zero, non-finite
-    values, 3-digit exponents and scales beyond 10^44.
+    m = |x| 10^k, k = 8 - e.  The scale is two exact powers of ten,
+    10^(k // 2) and then the rest, both within 10^±22 for |k| <= 44, so
+    m is rounded at most twice: within 2.3e-7 of the true scaled value,
+    since m < 2^30.  Not ok are the cells this cannot get right:
+    near-ties of the last digit (rint may round the other way than the
+    exact decimal expansion), a log10 off by one (rint(m) outside
+    [1e8, 1e9)), zero, non-finite values, 3-digit exponents and scales
+    beyond 10^44.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero and non-finite are not ok
         e = np.floor(np.log10(a))
         ok = np.isfinite(e) & (np.abs(e) < 100) & (np.abs(8 - e) <= 44)
         k = np.where(ok, 8 - e, 0).astype(np.intp)
-        first = np.clip(k, -22, 22)
-        m = _times_pow10(a, first)
-        far = np.flatnonzero(k != first)
-        m[far] = _times_pow10(m[far], k[far] - first[far])
+        half = k // 2
+        m = _times_pow10(_times_pow10(a, half), k - half)
         digits = np.rint(m)
         ok &= (digits >= 1e8) & (digits < 1e9) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
     return ok, np.where(ok, digits, 1e8).astype(np.int32), np.where(ok, e, 0).astype(np.int32)
+
+
+def _sci_spans(
+    x: np.ndarray, end: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, digits, e, span) of x: _sci_digits(x), and per value the
+    bytes of the unsigned plain cell d.dddddddde±dd followed by end."""
+    ok, d, e = _sci_digits(x)
+    # floor division by a scalar is several times faster than np.divmod
+    upper = d // 10_000
+    lead = upper // 10_000
+    high, low = upper - lead * 10_000, d - upper * 10_000
+    span = np.empty((x.size, 14 + len(end)), dtype=np.uint8)
+    span[:, 0:2].view("V2")[:, 0] = _LEAD_DOTS[lead]
+    span[:, 2:6].view("V4")[:, 0] = _DIGIT_QUADS[high]
+    span[:, 6:10].view("V4")[:, 0] = _DIGIT_QUADS[low]
+    span[:, 10:14].view("V4")[:, 0] = _EXPONENTS[e + 99]
+    span[:, 14:] = np.frombuffer(end, dtype=np.uint8)
+    return ok, d, e, span
 
 
 def _put_exact(cells: np.ndarray, bad: np.ndarray, exact: list[str]) -> np.ndarray:
@@ -342,24 +359,12 @@ def _csv_rows(columns, suffix: str) -> np.ndarray:
     Python's %; its plain spans land past the end and are cut off.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
-    ends = [_COMMA] * (len(cols) - 1) + [
-        np.frombuffer(suffix.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    ]
+    ends = [b","] * (len(cols) - 1) + [suffix.encode("utf-8", "surrogatepass")]
     ok = np.ones(cols[0].shape, dtype=bool)
     spans = []
     for x, end in zip(cols, ends):
-        cell_ok, d, e = _sci_digits(x)
+        cell_ok, _, _, span = _sci_spans(x, end)
         ok &= cell_ok
-        # floor division by a scalar is several times faster than np.divmod
-        upper = d // 10_000
-        lead = upper // 10_000
-        high, low = upper - lead * 10_000, d - upper * 10_000
-        span = np.empty((x.size, 14 + end.size), dtype=np.uint8)
-        span[:, 0:2].view("V2")[:, 0] = _LEAD_DOTS[lead]
-        span[:, 2:6].view("V4")[:, 0] = _DIGIT_QUADS[high]
-        span[:, 6:10].view("V4")[:, 0] = _DIGIT_QUADS[low]
-        span[:, 10:14].view("V4")[:, 0] = _EXPONENTS[e + 99]
-        span[:, 14:] = end
         spans.append((x < 0.0, span))
     plain = sum(span.shape[1] + 1 for _, span in spans)  # widest plain row
     width = sum(neg + span.shape[1] for neg, span in spans)
@@ -474,30 +479,32 @@ def _csv_float_pairs(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     return tuple(columns)
 
 
-# _json_float_bytes lays a cell out from one source row per value:
-# "0000", the 9 digits, "00000000", ".", "e+XX", NUL
-_SRC_DIGITS, _SRC_DOT, _SRC_EXP, _SRC_NUL = 4, 21, 22, 26
+# _json_float_bytes lays a cell out from the span of _sci_spans(x, _JSON_END):
+# columns 0 and 2-9 the digits, 1 ".", 10-13 "e±dd", then "0" and NUL
+_JSON_END, _SPAN_DOT, _SPAN_EXP, _SPAN_ZERO, _SPAN_NUL = b"0\0", 1, 10, 14, 15
 
 
 def _json_layouts() -> np.ndarray:
-    """Source column of each JSON cell column after the sign, by
+    """Span column of each JSON cell column after the sign, by
     (decimal exponent + 99, significant digits - 1)."""
     e = np.arange(-99, 100)[:, None, None]
     n = np.arange(1, 10)[None, :, None]
     j = np.arange(_JSON_FLOAT_WIDTH - 1)
     sci = (e < -4) | (e > 15)
-    # integer digits from column start, then "." and n_frac fraction
-    # digits (the columns after them), then n_exp exponent characters
-    start = np.where(sci, _SRC_DIGITS, _SRC_DIGITS + np.minimum(e, 0))
+    # n_int integer digits, then "." and n_frac fraction digits (the
+    # digits after them), then n_exp exponent characters
     n_int = np.where(sci | (e < 0), 1, e + 1)
     n_frac = np.where(sci, n - 1, np.maximum(n - 1 - e, 1))
     n_exp = np.where(sci, 4, 0)
     frac = j - n_int - (n_frac > 0)  # position among the fraction digits
     exp = frac - n_frac  # position among the exponent characters
+    # index of the digit shown: 0 is the leading one, those outside 0..8 are "0"
+    digit = np.where(sci, 0, np.minimum(e, 0)) + j - (j >= n_int)
+    digit_col = np.where((digit < 0) | (digit > 8), _SPAN_ZERO, digit + (digit > 0))
     index = np.select(
         [j < n_int, frac < 0, exp < 0, exp < n_exp],
-        [start + j, _SRC_DOT, start + j - 1, _SRC_EXP + exp],
-        _SRC_NUL,
+        [digit_col, _SPAN_DOT, digit_col, _SPAN_EXP + exp],
+        _SPAN_NUL,
     )
     return index.astype(np.uint8)
 
@@ -515,24 +522,15 @@ def _json_float_bytes(values) -> np.ndarray:
     Cells _sci_digits cannot get right fall back to json.dumps.
     """
     x = np.asarray(values, dtype=float)
-    ok, d, e = _sci_digits(x)
+    ok, d, e, span = _sci_spans(x, _JSON_END)
     n = np.full(x.shape, 9, dtype=np.int32)  # significant digits left
     for k in range(1, 9):
         n -= d % 10**k == 0
-    src = np.full((x.size, _SRC_NUL + 1), ord("0"), dtype=np.uint8)
-    lead, rest = np.divmod(d, 100_000_000)
-    high, low = np.divmod(rest, 10_000)
-    src[:, _SRC_DIGITS] = lead + ord("0")
-    src[:, 5:9].view("V4")[:, 0] = _DIGIT_QUADS[high]
-    src[:, 9:13].view("V4")[:, 0] = _DIGIT_QUADS[low]
-    src[:, _SRC_DOT] = ord(".")
-    src[:, _SRC_EXP : _SRC_EXP + 4].view("V4")[:, 0] = _EXPONENTS[e + 99]
-    src[:, _SRC_NUL] = 0
     cells = np.empty((x.size, _JSON_FLOAT_WIDTH), dtype=np.uint8)
     cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
     # a flat take: np.take_along_axis is twice as slow here
-    flat_index = np.arange(0, src.size, src.shape[1])[:, None] + _JSON_LAYOUTS[e + 99, n - 1]
-    cells[:, 1:] = src.ravel()[flat_index]
+    flat_index = np.arange(0, span.size, span.shape[1])[:, None] + _JSON_LAYOUTS[e + 99, n - 1]
+    cells[:, 1:] = span.ravel()[flat_index]
     bad = np.flatnonzero(~ok)
     if bad.size:
         exact = [json.dumps(float(_CSV_FLOAT % v)) for v in x[bad].tolist()]
@@ -546,11 +544,6 @@ def _cell_rows(parts) -> str:
     A part is a NUL-padded cell matrix (its NULs are dropped) or a
     string repeated whole on every row.
     """
-    return _cell_bytes(parts).tobytes().decode("utf-8", "surrogatepass")
-
-
-def _cell_bytes(parts) -> np.ndarray:
-    """The UTF-8 bytes of _cell_rows(parts), as a flat uint8 array."""
     n_rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
     parts = [
         p if isinstance(p, np.ndarray)
@@ -568,4 +561,4 @@ def _cell_bytes(parts) -> np.ndarray:
         if part.ndim == 1 and not part.all():  # a string holding NUL keeps it
             keep[:, col : col + part.size] = True
         col += part.shape[-1]
-    return rows[keep]
+    return rows[keep].tobytes().decode("utf-8", "surrogatepass")

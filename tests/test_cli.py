@@ -705,3 +705,36 @@ def test_ringdown_fit_non_utf8_message(data, tmp_path, capsys):
     assert cli.main(["ringdown", "fit", str(bad)]) == 4
     message = f"malformed trace CSV {bad}: not UTF-8 text ({exc.value})"
     assert message in capsys.readouterr().err
+
+
+SURVEY = (
+    "mass_kg,dissipation_per_s,label\n"
+    "1e-9,1e-2,levitated sphere\n"
+    "40.0,1e-6,interferometer mirror\n"
+)
+
+
+def test_budget_overlay_byte_order_mark_and_crlf(tmp_path):
+    # spreadsheets save CSV with a byte order mark and CRLF line ends
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(SURVEY)
+    marked.write_bytes(b"\xef\xbb\xbf" + SURVEY.replace("\n", "\r\n").encode("utf-8"))
+    for name in ("plain", "marked"):
+        argv = ["budget", "--format", "svg", "--overlay", str(tmp_path / f"{name}.csv")]
+        assert cli.main([*argv, "--out", str(tmp_path / f"{name}.svg")]) == 0
+    assert (tmp_path / "marked.svg").read_bytes() == (tmp_path / "plain.svg").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", [0, 1], ids=["mass_kg", "dissipation_per_s"])
+def test_budget_overlay_non_finite_cell_exits_2(column, value, tmp_path, capsys):
+    cells = ["1e-9", "1e-2", "b"]
+    cells[column] = value
+    overlay = tmp_path / "survey.csv"
+    overlay.write_text("mass_kg,dissipation_per_s,label\n40.0,1e-6,a\n" + ",".join(cells) + "\n")
+    argv = ["budget", "--format", "svg", "--overlay", str(overlay), "--out", "-"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert repr(",".join(cells)) in err
+    assert "Traceback" not in err

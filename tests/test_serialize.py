@@ -124,9 +124,13 @@ def test_csv_and_json_match_per_value_writers(spectra):
     assert bud.spectra_to_json(spectra) == _reference_json(spectra)
 
 
-def test_budget_outputs_match_per_value_writers():
-    grid = bud.log_grid(10.0, 1e4, 700)
-    cfg = load_config()
+# the design workload's extreme grid sizes, liquid-helium and room
+# temperature, and 700 points
+@pytest.mark.parametrize("points", [500, 700, 8000])
+@pytest.mark.parametrize("temperature", [4.2, 300.0])
+def test_budget_outputs_match_per_value_writers(points, temperature):
+    cfg = load_config(None, [f"grid.points={points}", f"environment.temperature={temperature}"])
+    grid = cfg.grid()
     components = bud.model_components(cfg.model, bud.COMPONENT_NAMES, grid, cavity=cfg.cavity)
     b = bud.total_budget(components, cfg.model.test_mass.mass, grid)
     spectra = [*b.components, b.total, b.sql]
@@ -151,6 +155,23 @@ def test_sci_digits_exact_path_spans_two_powers_of_ten():
     ok, digits, e = _sci_digits(x)
     assert ok.mean() > 0.99
     assert [f"{d / 1e8:.8f}e{k:+03d}" for d, k in zip(digits[ok], e[ok])] == [
+        _CSV_FLOAT % v for v in x[ok]
+    ]
+
+
+def test_sci_digits_near_ties_match_percent_format():
+    # d + 0.5 +- delta in the last digit, delta 1e-9..1e-5 (below 1e-7 the
+    # float is the tie or its neighbour), at every decimal exponent of the
+    # two-step exact path; -14 and 30 scale by exactly 10^+-22, -15 and 31
+    # by the first power beyond it
+    rng = np.random.default_rng(17)
+    exponent = np.repeat(np.arange(-36, 53), 400)
+    delta = 10.0 ** rng.uniform(-9, -5, exponent.size) * rng.choice([-1.0, 1.0], exponent.size)
+    d = rng.integers(10**8, 10**9 - 1, exponent.size)
+    x = (d + 0.5 + delta) * 10.0 ** (exponent - 8.0)
+    ok, digits, e = _sci_digits(x)
+    assert ok[np.abs(delta) > 2e-6].all()
+    assert [f"{n // 10**8}.{n % 10**8:08d}e{k:+03d}" for n, k in zip(digits[ok], e[ok])] == [
         _CSV_FLOAT % v for v in x[ok]
     ]
 
