@@ -25,6 +25,7 @@ from .core import (
     ShapeError,
     TestMass,
     _cell_rows,
+    _csv_column,
     _csv_text,
     _json_float_bytes,
     _require_positive,
@@ -43,8 +44,20 @@ def log_grid(f_min: float, f_max: float, points: int) -> np.ndarray:
     return np.geomspace(f_min, f_max, points)
 
 
+def _unchecked_arithmetic():
+    """A context without numpy's float warnings: overflow, division by
+    zero and invalid results of extreme grids become inf or nan, which
+    NoiseSpectrum's finite, positive check turns into a DomainError."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _checked_grid(grid_hz) -> np.ndarray:
     grid = np.asarray(grid_hz, dtype=float)
+    # one pass accepts a good grid: a positive first point, a finite last
+    # point and every step up; the checks below only choose the error
+    if grid.ndim == 1 and grid.size and 0.0 < grid[0] and grid[-1] < math.inf:
+        if (grid[1:] > grid[:-1]).all():
+            return grid
     if grid.ndim != 1 or grid.size < 1:
         raise ShapeError("grid must be a 1-d array")
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
@@ -69,7 +82,8 @@ class NoiseSpectrum:
             raise ShapeError(
                 f"frequencies {freqs.shape} and asd {asd.shape} must be equal-length 1-d"
             )
-        if not np.all(np.isfinite(asd)) or np.any(asd <= 0.0):
+        # a NaN makes min() NaN, which fails the comparison
+        if not (asd.min() > 0.0 and asd.max() < math.inf):
             raise DomainError(f"spectrum {self.label!r}: asd values must be > 0 and finite")
         freqs.flags.writeable = False
         asd.flags.writeable = False
@@ -107,7 +121,8 @@ class Budget:
         for spec in self.components:
             if not np.array_equal(spec.frequencies, grid):
                 raise ShapeError(f"component {spec.label!r} is not on the budget grid")
-            power += spec.asd**2
+            with _unchecked_arithmetic():  # an overflowing power fails as the total
+                power += spec.asd**2
         object.__setattr__(self, "total", NoiseSpectrum(grid, np.sqrt(power), "total"))
 
     @property
@@ -138,16 +153,15 @@ def suspension_thermal_asd(
         raise ShapeError("at least one mode is required")
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
-    s_x = np.zeros_like(omega)
-    for mode in modes:
-        w_n = mode.frequency
-        phi = mode.loss_angle
-        m_n = mode.effective_mass
-        s_x += (
-            (4.0 * CONST.k_B * temperature / omega)
-            * (w_n**2 * phi)
-            / (m_n * ((w_n**2 - omega**2) ** 2 + w_n**4 * phi**2))
-        )
+    with _unchecked_arithmetic():
+        thermal = 4.0 * CONST.k_B * temperature / omega
+        omega_sq = omega**2
+        s_x = np.zeros_like(omega)
+        for mode in modes:
+            w_n = mode.frequency
+            phi = mode.loss_angle
+            m_n = mode.effective_mass
+            s_x += thermal * (w_n**2 * phi) / (m_n * ((w_n**2 - omega_sq) ** 2 + w_n**4 * phi**2))
     return NoiseSpectrum(grid, np.sqrt(s_x), "suspension thermal")
 
 
@@ -180,19 +194,21 @@ def mirror_thermal_asd(
     phi_sub = _require_positive("substrate_loss_angle", test_mass.substrate_loss_angle)
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
-    s_sub = (
-        (4.0 * CONST.k_B * temperature / omega)
-        * (1.0 - poisson_ratio**2)
-        / (math.sqrt(math.pi) * young_modulus * w)
-        * phi_sub
-    )
     coating_factor = 1.0 + (
         (2.0 / math.sqrt(math.pi))
         * ((1.0 - 2.0 * poisson_ratio) / (1.0 - poisson_ratio))
         * (test_mass.coating_loss_angle / phi_sub)
         * (test_mass.coating_thickness / w)
     )
-    return NoiseSpectrum(grid, np.sqrt(s_sub * coating_factor), "mirror thermal")
+    with _unchecked_arithmetic():
+        s_sub = (
+            (4.0 * CONST.k_B * temperature / omega)
+            * (1.0 - poisson_ratio**2)
+            / (math.sqrt(math.pi) * young_modulus * w)
+            * phi_sub
+        )
+        asd = np.sqrt(s_sub * coating_factor)
+    return NoiseSpectrum(grid, asd, "mirror thermal")
 
 
 def sql_asd(mass: float, grid_hz) -> NoiseSpectrum:
@@ -200,7 +216,9 @@ def sql_asd(mass: float, grid_hz) -> NoiseSpectrum:
     _require_positive("mass", mass)
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
-    return NoiseSpectrum(grid, math.sqrt(2.0 * CONST.hbar / mass) / omega, "SQL")
+    with _unchecked_arithmetic():
+        asd = math.sqrt(2.0 * CONST.hbar / mass) / omega
+    return NoiseSpectrum(grid, asd, "SQL")
 
 
 def quantum_noise_asd(cavity: Cavity, mass: float, grid_hz) -> NoiseSpectrum:
@@ -223,8 +241,10 @@ def quantum_noise_asd(cavity: Cavity, mass: float, grid_hz) -> NoiseSpectrum:
     omega = 2.0 * math.pi * grid
     s_f = radiation_pressure_force_psd(cavity)
     s_shot = CONST.hbar**2 / s_f
-    s_rp = s_f / (mass**2 * omega**4)
-    return NoiseSpectrum(grid, np.sqrt(s_shot + s_rp), "quantum noise")
+    with _unchecked_arithmetic():
+        s_rp = s_f / (mass**2 * omega**4)
+        asd = np.sqrt(s_shot + s_rp)
+    return NoiseSpectrum(grid, asd, "quantum noise")
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +345,17 @@ CSV_HEADER = "frequency_hz,asd_m_per_sqrthz,label"
 
 
 def spectra_to_csv(spectra: list[NoiseSpectrum]) -> str:
-    """Long-format CSV, one block per spectrum, deterministic bytes."""
-    return CSV_HEADER + "\n" + "".join(
-        _csv_text([spec.frequencies, spec.asd], f",{spec.label}\n") for spec in spectra
-    )
+    """Long-format CSV, one block per spectrum, deterministic bytes.
+
+    Consecutive spectra on equal grids share the grid column's cells.
+    """
+    blocks = [CSV_HEADER + "\n"]
+    grid = freq_cells = None
+    for spec in spectra:
+        if grid is None or not np.array_equal(spec.frequencies, grid):
+            grid, freq_cells = spec.frequencies, _csv_column(spec.frequencies)
+        blocks.append(_csv_text([freq_cells, spec.asd], f",{spec.label}\n"))
+    return "".join(blocks)
 
 
 def _json_array(values) -> str:
@@ -338,19 +365,24 @@ def _json_array(values) -> str:
 
 def spectra_to_json(spectra: list[NoiseSpectrum]) -> str:
     """The spectra as json.dumps(indent=2, sort_keys=True) writes them,
-    each number the float nearest its _CSV_FLOAT cell."""
-    blocks = []
+    each number the float nearest its _CSV_FLOAT cell.
+
+    Consecutive spectra on equal grids share the grid's text, and the
+    text is joined once.
+    """
+    if not spectra:
+        return '{\n  "spectra": []\n}\n'
+    parts = ['{\n  "spectra": [\n']
     grid = freq_text = None
     for spec in spectra:
         if grid is None or not np.array_equal(spec.frequencies, grid):
             grid, freq_text = spec.frequencies, _json_array(spec.frequencies)
-        blocks.append(
-            '    {\n      "asd_m_per_sqrthz": [\n'
-            + _json_array(spec.asd)
-            + '      ],\n      "frequency_hz": [\n'
-            + freq_text
-            + f'      ],\n      "label": {json.dumps(spec.label)}\n    }}'
-        )
-    if not blocks:
-        return '{\n  "spectra": []\n}\n'
-    return '{\n  "spectra": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
+        parts += [
+            '    {\n      "asd_m_per_sqrthz": [\n',
+            _json_array(spec.asd),
+            '      ],\n      "frequency_hz": [\n',
+            freq_text,
+            f'      ],\n      "label": {json.dumps(spec.label)}\n    }},\n',
+        ]
+    parts[-1] = parts[-1][:-2] + "\n  ]\n}\n"
+    return "".join(parts)

@@ -247,37 +247,39 @@ def cmd_ringdown_fit(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _metric_q_ideal(cfg: ExperimentConfig) -> float:
+# a metric takes the config and its frequency grid [Hz]
+
+def _metric_q_ideal(cfg: ExperimentConfig, grid: np.ndarray) -> float:
     return ideal_pendulum_q(cfg.model)
 
 
-def _metric_eq2_edge(cfg: ExperimentConfig) -> float:
+def _metric_eq2_edge(cfg: ExperimentConfig, grid: np.ndarray) -> float:
     mode = pendulum_mode(cfg.model)
     return measurement_band_edge(
         mode.frequency, mode.quality_factor, cfg.model.env.temperature
     )
 
 
-def _widest_sub_sql_band(cfg: ExperimentConfig) -> tuple[float, float]:
-    bands = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid())
+def _widest_sub_sql_band(cfg: ExperimentConfig, grid: np.ndarray) -> tuple[float, float]:
+    bands = budget_mod.thermal_sub_sql_band(cfg.model, grid)
     if not bands:
         return (math.nan, math.nan)
     return max(bands, key=lambda b: b[1] / b[0])
 
 
-def _metric_sub_sql_lo(cfg: ExperimentConfig) -> float:
-    return _widest_sub_sql_band(cfg)[0]
+def _metric_sub_sql_lo(cfg: ExperimentConfig, grid: np.ndarray) -> float:
+    return _widest_sub_sql_band(cfg, grid)[0]
 
 
-def _metric_sub_sql_hi(cfg: ExperimentConfig) -> float:
-    return _widest_sub_sql_band(cfg)[1]
+def _metric_sub_sql_hi(cfg: ExperimentConfig, grid: np.ndarray) -> float:
+    return _widest_sub_sql_band(cfg, grid)[1]
 
 
-def _metric_f_violin1(cfg: ExperimentConfig) -> float:
+def _metric_f_violin1(cfg: ExperimentConfig, grid: np.ndarray) -> float:
     return violin_modes(cfg.model, 1)[0].frequency_hz
 
 
-def _metric_omega_eff(cfg: ExperimentConfig) -> float:
+def _metric_omega_eff(cfg: ExperimentConfig, grid: np.ndarray) -> float:
     return effective_oscillator(cfg.model, cfg.cavity).omega_eff
 
 
@@ -315,10 +317,17 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.start, args.stop, args.steps)
     metric = METRICS[args.metric]
+    # the grid depends on the grid section alone, so a sweep of any other
+    # field builds it once
+    moves_grid = args.param.startswith("grid.")
+    grid = None
     results = []
     for v in values:
         set_numeric(raw, args.param, float(v))  # build_config keeps no reference to raw
-        results.append(metric(build_config(raw)))
+        cfg = build_config(raw)
+        if grid is None or moves_grid:
+            grid = cfg.grid()
+        results.append(metric(cfg, grid))
     rows = _csv_text([values, results], "\n")
     _write_text(args.out, f"{args.param},{args.metric}\n" + rows)
     return EXIT_OK

@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,31 +348,48 @@ def _put_exact(cells: np.ndarray, bad: np.ndarray, exact: list[str]) -> np.ndarr
     return cells
 
 
+class _CsvColumn(NamedTuple):
+    """One column's values and their _CSV_FLOAT cells: ok, sign and span
+    as _csv_rows lays them out."""
+
+    x: np.ndarray
+    ok: np.ndarray
+    neg: np.ndarray
+    span: np.ndarray
+
+
+def _csv_column(values, end: bytes = b",") -> _CsvColumn:
+    """The cells of values, each span ending in end: a column laid out
+    once, for several _csv_rows calls that share it."""
+    x = np.asarray(values, dtype=float)
+    ok, _, _, span = _sci_spans(x, end)
+    return _CsvColumn(x, ok, x < 0.0, span)
+
+
 def _csv_rows(columns, suffix: str) -> np.ndarray:
     """UTF-8 bytes of one row per index of the equal-length columns: the
     row's _CSV_FLOAT cells joined by "," and then suffix.
 
-    A plain cell is [-]d.dddddddde±dd.  Each column's cells are laid out
-    once, dense and unsigned, ending in "," (the last column's in
-    suffix), and copied to their computed byte offsets in the text as
+    A column is its values or, for any but the last, the _csv_column of
+    them.  A plain cell is [-]d.dddddddde±dd.  Each column's cells are
+    laid out once, dense and unsigned, ending in "," (the last column's
+    in suffix), and copied to their computed byte offsets in the text as
     fixed-width spans, after a "-" where the cell is negative.  A row
     holding a cell _sci_digits cannot get right is formatted whole with
     Python's %; its plain spans land past the end and are cut off.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    ends = [b","] * (len(cols) - 1) + [suffix.encode("utf-8", "surrogatepass")]
-    ok = np.ones(cols[0].shape, dtype=bool)
-    spans = []
-    for x, end in zip(cols, ends):
-        cell_ok, _, _, span = _sci_spans(x, end)
-        ok &= cell_ok
-        spans.append((x < 0.0, span))
-    plain = sum(span.shape[1] + 1 for _, span in spans)  # widest plain row
-    width = sum(neg + span.shape[1] for neg, span in spans)
+    *head, last = columns
+    cols = [c if isinstance(c, _CsvColumn) else _csv_column(c) for c in head]
+    cols.append(_csv_column(last, suffix.encode("utf-8", "surrogatepass")))
+    ok = cols[0].ok
+    for c in cols[1:]:
+        ok = ok & c.ok
+    plain = sum(c.span.shape[1] + 1 for c in cols)  # widest plain row
+    width = sum(c.neg + c.span.shape[1] for c in cols)
     slow = np.flatnonzero(~ok)
     exact = [
         (",".join(_CSV_FLOAT % v for v in row) + suffix).encode("utf-8", "surrogatepass")
-        for row in zip(*(x[slow].tolist() for x in cols))
+        for row in zip(*(c.x[slow].tolist() for c in cols))
     ]
     width[slow] = [len(row) for row in exact]
     stop = np.cumsum(width)
@@ -379,12 +397,12 @@ def _csv_rows(columns, suffix: str) -> np.ndarray:
     out = np.empty(total + plain, dtype=np.uint8)
     at = stop - width
     at[slow] = total
-    for neg, span in spans:
-        out[at] = np.where(neg, ord("-"), 0)  # a plain cell's first digit overwrites the 0
-        at += neg
-        w = span.shape[1]
+    for c in cols:
+        out[at] = np.where(c.neg, ord("-"), 0)  # a plain cell's first digit overwrites the 0
+        at += c.neg
+        w = c.span.shape[1]
         windows = np.ndarray((out.size - w + 1,), dtype=f"V{w}", buffer=out, strides=(1,))
-        windows[at] = span.view(f"V{w}")[:, 0]
+        windows[at] = c.span.view(f"V{w}")[:, 0]
         at += w
     if slow.size:
         lengths = width[slow]
@@ -481,35 +499,43 @@ def _csv_float_pairs(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 # _json_float_bytes lays a cell out from the span of _sci_spans(x, _JSON_END):
 # columns 0 and 2-9 the digits, 1 ".", 10-13 "e±dd", then "0" and NUL
-_JSON_END, _SPAN_DOT, _SPAN_EXP, _SPAN_ZERO, _SPAN_NUL = b"0\0", 1, 10, 14, 15
+_JSON_END, _SPAN_DOT, _SPAN_ZERO, _SPAN_NUL = b"0\0", 1, 14, 15
+# trailing zeros of each 4-digit quad "0000".."9999"
+_TRAILING_ZEROS = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5)).astype(np.int32)
 
 
-def _json_layouts() -> np.ndarray:
-    """Span column of each JSON cell column after the sign, by
-    (decimal exponent + 99, significant digits - 1)."""
-    e = np.arange(-99, 100)[:, None, None]
+def _json_sci_keep() -> np.ndarray:
+    """0xFF on the span columns a scientific-notation JSON cell keeps, by
+    significant digits - 1: the leading digit, "." and the digits after
+    it when there are any, and "e±dd"."""
+    col = np.arange(14)
+    n = np.arange(1, 10)[:, None]
+    keep = (col == 0) | ((col <= n) & (n > 1)) | (col >= 10)
+    return np.where(keep, 0xFF, 0).astype(np.uint8)
+
+
+def _json_fixed_layouts() -> np.ndarray:
+    """Span column of each fixed-notation JSON cell column after the
+    sign, by (decimal exponent + 4, significant digits - 1)."""
+    e = np.arange(-4, 16)[:, None, None]
     n = np.arange(1, 10)[None, :, None]
     j = np.arange(_JSON_FLOAT_WIDTH - 1)
-    sci = (e < -4) | (e > 15)
     # n_int integer digits, then "." and n_frac fraction digits (the
-    # digits after them), then n_exp exponent characters
-    n_int = np.where(sci | (e < 0), 1, e + 1)
-    n_frac = np.where(sci, n - 1, np.maximum(n - 1 - e, 1))
-    n_exp = np.where(sci, 4, 0)
-    frac = j - n_int - (n_frac > 0)  # position among the fraction digits
-    exp = frac - n_frac  # position among the exponent characters
+    # digits after them)
+    n_int = np.where(e < 0, 1, e + 1)
+    n_frac = np.maximum(n - 1 - e, 1)
+    frac = j - n_int - 1  # position among the fraction digits
     # index of the digit shown: 0 is the leading one, those outside 0..8 are "0"
-    digit = np.where(sci, 0, np.minimum(e, 0)) + j - (j >= n_int)
+    digit = np.minimum(e, 0) + j - (j >= n_int)
     digit_col = np.where((digit < 0) | (digit > 8), _SPAN_ZERO, digit + (digit > 0))
     index = np.select(
-        [j < n_int, frac < 0, exp < 0, exp < n_exp],
-        [digit_col, _SPAN_DOT, digit_col, _SPAN_EXP + exp],
-        _SPAN_NUL,
+        [j < n_int, frac < 0, frac < n_frac], [digit_col, _SPAN_DOT, digit_col], _SPAN_NUL
     )
     return index.astype(np.uint8)
 
 
-_JSON_LAYOUTS = _json_layouts()
+_JSON_SCI_KEEP = _json_sci_keep()
+_JSON_FIXED_LAYOUTS = _json_fixed_layouts()
 
 
 def _json_float_bytes(values) -> np.ndarray:
@@ -518,19 +544,25 @@ def _json_float_bytes(values) -> np.ndarray:
     That is float.__repr__ of the 9-digit value: its significant digits
     with trailing zeros stripped, in fixed notation for decimal
     exponents -4..15 ("0.000123", "1234.5", "1000000000000000.0") and
-    in scientific notation otherwise ("1.5e-18", "1e-05", "1e+16").
-    Cells _sci_digits cannot get right fall back to json.dumps.
+    in scientific notation otherwise ("1.5e-18", "1e-05", "1e+16").  A
+    scientific cell is its span with the stripped digits (and a lone
+    digit's ".") set to NUL; a fixed cell is gathered from its span
+    through _JSON_FIXED_LAYOUTS.  Cells _sci_digits cannot get right
+    fall back to json.dumps.
     """
     x = np.asarray(values, dtype=float)
     ok, d, e, span = _sci_spans(x, _JSON_END)
-    n = np.full(x.shape, 9, dtype=np.int32)  # significant digits left
-    for k in range(1, 9):
-        n -= d % 10**k == 0
-    cells = np.empty((x.size, _JSON_FLOAT_WIDTH), dtype=np.uint8)
+    upper = d // 10_000
+    low = d - upper * 10_000
+    n = 9 - _TRAILING_ZEROS[low]  # significant digits
+    n -= np.where(low == 0, _TRAILING_ZEROS[upper - upper // 10_000 * 10_000], 0)
+    cells = np.zeros((x.size, _JSON_FLOAT_WIDTH), dtype=np.uint8)
     cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    cells[:, 1:15] = span[:, :14] & _JSON_SCI_KEEP[n - 1]
+    fixed = np.flatnonzero((e >= -4) & (e <= 15))
     # a flat take: np.take_along_axis is twice as slow here
-    flat_index = np.arange(0, span.size, span.shape[1])[:, None] + _JSON_LAYOUTS[e + 99, n - 1]
-    cells[:, 1:] = span.ravel()[flat_index]
+    layout = _JSON_FIXED_LAYOUTS[e[fixed] + 4, n[fixed] - 1]
+    cells[fixed, 1:] = span.ravel()[(fixed * span.shape[1])[:, None] + layout]
     bad = np.flatnonzero(~ok)
     if bad.size:
         exact = [json.dumps(float(_CSV_FLOAT % v)) for v in x[bad].tolist()]
@@ -542,23 +574,19 @@ def _cell_rows(parts) -> str:
     """Text of rows laid out as parts, one row per value.
 
     A part is a NUL-padded cell matrix (its NULs are dropped) or a
-    string repeated whole on every row.
+    string without NUL repeated whole on every row.  Each row's piece of
+    a part is copied as one fixed-width item.
     """
     n_rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
-    parts = [
-        p if isinstance(p, np.ndarray)
-        else np.frombuffer(p.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    items = [
+        p.view(f"V{p.shape[1]}")[:, 0] if isinstance(p, np.ndarray)
+        else np.void(p.encode("utf-8", "surrogatepass"))
         for p in parts
     ]
-    rows = np.empty((n_rows, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    rows = np.empty((n_rows, sum(item.itemsize for item in items)), dtype=np.uint8)
     col = 0
-    for part in parts:
-        rows[:, col : col + part.shape[-1]] = part
-        col += part.shape[-1]
-    keep = rows != 0
-    col = 0
-    for part in parts:
-        if part.ndim == 1 and not part.all():  # a string holding NUL keeps it
-            keep[:, col : col + part.size] = True
-        col += part.shape[-1]
-    return rows[keep].tobytes().decode("utf-8", "surrogatepass")
+    for item in items:
+        if item.itemsize:  # not an empty string
+            rows[:, col : col + item.itemsize].view(item.dtype)[:, 0] = item
+        col += item.itemsize
+    return rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")

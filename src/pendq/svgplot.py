@@ -39,6 +39,20 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _whole_quads() -> np.ndarray:
+    """The cells "0".."9999", right-aligned in 4 bytes and NUL padded."""
+    quads = _DIGIT_QUADS.view(np.uint8).reshape(-1, 4).copy()
+    k = np.arange(10_000)
+    n_digits = 1 + (k >= 10) + (k >= 100) + (k >= 1000)
+    quads[np.arange(4) < 4 - n_digits[:, None]] = 0  # the leading zeros
+    return quads.view("V4")[:, 0]
+
+
+_WHOLE_QUADS = _whole_quads()
+# "00".."99"
+_CENT_PAIRS = _DIGIT_QUADS[:100].view(np.uint8).reshape(-1, 4)[:, 2:].copy().view("V2")[:, 0]
+
+
 def _fmt_cells(data: np.ndarray, to_pixel) -> np.ndarray:
     """Cells of _fmt(to_pixel(v)) for v in data as NUL-padded ASCII rows.
 
@@ -50,15 +64,13 @@ def _fmt_cells(data: np.ndarray, to_pixel) -> np.ndarray:
     pixels = to_pixel(data, np.log10)
     cents = np.abs(pixels) * 100.0
     ok = (cents < 999_999.5) & (np.abs(cents - np.floor(cents) - 0.5) > 1e-6)
-    whole, frac = np.divmod(np.where(ok, np.rint(cents), 0.0).astype(np.int64), 100)
-    cells = np.zeros((pixels.size, 8), dtype=np.uint8)
+    cents = np.where(ok, np.rint(cents), 0.0).astype(np.int64)
+    whole = cents // 100  # floor division by a scalar is faster than np.divmod
+    cells = np.empty((pixels.size, 8), dtype=np.uint8)
     cells[:, 0] = np.where(np.signbit(pixels), ord("-"), 0)
-    cells[:, 1:5].view("V4")[:, 0] = _DIGIT_QUADS[whole]
-    # the integer part's leading zeros, keeping its units digit
-    n_digits = 1 + (whole >= 10) + (whole >= 100) + (whole >= 1000)
-    cells[:, 1:4][np.arange(3) < 4 - n_digits[:, None]] = 0
+    cells[:, 1:5].view("V4")[:, 0] = _WHOLE_QUADS[whole]
     cells[:, 5] = ord(".")
-    cells[:, 6:8] = _DIGIT_QUADS[frac].view(np.uint8).reshape(-1, 4)[:, 2:]
+    cells[:, 6:8].view("V2")[:, 0] = _CENT_PAIRS[cents - whole * 100]
     bad = np.flatnonzero(~ok)
     if bad.size:
         cells = _put_exact(cells, bad, [_fmt(to_pixel(v)) for v in data[bad].tolist()])
@@ -178,10 +190,13 @@ def render_loglog(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#333333" stroke-width="1"/>'
     )
-    # curves
+    # curves; consecutive curves with equal x share its cells
+    shared_x = x_cells = None
     for i, c in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        coords = _cell_rows([_fmt_cells(c.x, px), ",", _fmt_cells(c.y, py), " "])[:-1]
+        if shared_x is None or not np.array_equal(c.x, shared_x):
+            shared_x, x_cells = c.x, _fmt_cells(c.x, px)
+        coords = _cell_rows([x_cells, ",", _fmt_cells(c.y, py), " "])[:-1]
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.6" clip-path="url(#plot)"/>'

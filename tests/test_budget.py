@@ -2,10 +2,13 @@
 
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pendq import CONST, ConfigError, DomainError, ShapeError, TestMass
 from pendq import budget as bud
@@ -371,3 +374,99 @@ def test_budget_rejects_component_off_the_sql_grid():
     sql_elsewhere = bud.sql_asd(CONFIG.model.test_mass.mass, bud.log_grid(10.0, 1e4, 500))
     with pytest.raises(ShapeError, match="not on the budget grid"):
         bud.Budget((component,), sql_elsewhere)
+
+
+# ---------------------------------------------------------------------------
+# Grid and ASD errors: the one-pass acceptance keeps the full checks' choice
+# ---------------------------------------------------------------------------
+
+NOT_1D = (ShapeError, "grid must be a 1-d array")
+NOT_POSITIVE = (DomainError, "grid must be positive and finite (0 Hz is not allowed)")
+NOT_INCREASING = (DomainError, "grid must be strictly increasing")
+
+
+def _replaced(values, at, value):
+    values = list(values)
+    values[at] = value
+    return values
+
+
+BAD_GRIDS = {
+    "empty": ([], NOT_1D),
+    "2-d": ([[1.0, 2.0], [3.0, 4.0]], NOT_1D),
+    "zero": ([0.0, 1.0, 2.0], NOT_POSITIVE),
+    "negative": ([1.0, -2.0, 3.0], NOT_POSITIVE),
+    **{
+        f"{name} at {where}": (_replaced([1.0, 2.0, 3.0], at, value), NOT_POSITIVE)
+        for name, value in (("-inf", -math.inf), ("nan", math.nan), ("+inf", math.inf))
+        for where, at in (("first", 0), ("middle", 1), ("last", 2))
+    },
+    "equal neighbours": ([1.0, 2.0, 2.0, 3.0], NOT_INCREASING),
+    "decreasing neighbours": ([1.0, 3.0, 2.0, 4.0], NOT_INCREASING),
+    # a step that overflows, from a negative point, warns nothing
+    "overflowing step": ([1.0, -1.7e308, 1.7e308], NOT_POSITIVE),
+}
+
+
+@pytest.mark.parametrize("grid, error", BAD_GRIDS.values(), ids=BAD_GRIDS)
+def test_bad_grid_errors(grid, error):
+    cls, message = error
+    with pytest.raises(cls) as direct:
+        bud._checked_grid(grid)
+    with pytest.raises(cls) as spectrum:
+        bud.NoiseSpectrum(np.asarray(grid, dtype=float), np.ones(np.shape(grid)), "x")
+    for exc in (direct.value, spectrum.value):
+        assert (type(exc), str(exc)) == (cls, message)
+
+
+def test_one_point_grid_is_accepted():
+    assert bud._checked_grid([5.0]).tolist() == [5.0]
+    assert bud.NoiseSpectrum(np.array([5.0]), np.array([1.0]), "x").asd_at(5.0) == 1.0
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_bad_asd_errors(value, at):
+    asd = np.array(_replaced([1.0, 2.0, 3.0], at, value))
+    with pytest.raises(DomainError) as exc:
+        bud.NoiseSpectrum(np.array([1.0, 2.0, 3.0]), asd, "x")
+    assert str(exc.value) == "spectrum 'x': asd values must be > 0 and finite"
+    assert type(exc.value) is DomainError
+
+
+def _full_grid_check(grid_hz):
+    # every point checked, as before the one-pass acceptance
+    grid = np.asarray(grid_hz, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ShapeError("grid must be a 1-d array")
+    if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
+        raise DomainError("grid must be positive and finite (0 Hz is not allowed)")
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError("grid must be strictly increasing")
+    return grid
+
+
+def _outcome(check, values):
+    try:
+        return check(values).tolist()
+    except (ShapeError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=6,
+    )
+)
+def test_grid_check_matches_the_full_checks(values):
+    for grid in (values, sorted(values, key=lambda v: (math.isnan(v), v))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the full checks' diff may overflow
+            expected = _outcome(_full_grid_check, grid)
+        assert _outcome(bud._checked_grid, grid) == expected

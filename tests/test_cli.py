@@ -738,3 +738,23 @@ def test_budget_overlay_non_finite_cell_exits_2(column, value, tmp_path, capsys)
     assert err.startswith("config error: ")
     assert repr(",".join(cells)) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--set", "grid.f_max=1e300"],  # omega^2 overflows
+        ["budget", "--format", "csv", "--out", "-", "--set", "grid.f_min=1e-300"],  # omega^4 is 0
+    ],
+)
+def test_overflowing_grid_overrides_exit_4_without_warnings(argv):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pendq.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=300,
+    )
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("analysis error: spectrum ")

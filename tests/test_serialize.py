@@ -6,6 +6,7 @@ The references here are those loops; the new code must match them
 exactly, byte for byte and band for band.
 """
 
+import hashlib
 import json
 import math
 
@@ -15,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pendq import budget as bud
-from pendq import svgplot
+from pendq import cli, svgplot
 from pendq.budget import Budget, NoiseSpectrum
-from pendq.config import load_config
+from pendq.config import build_config, load_config, load_raw, set_numeric
 from pendq.core import _CSV_FLOAT, _json_float_bytes, _sci_digits
 from pendq.svgplot import Curve, render_loglog
 
@@ -286,3 +287,110 @@ def test_sub_sql_band_matches_loop(signs, magnitudes):
     budget = _budget_of(signs, magnitudes)
     assert bud.sub_sql_band(budget) == _reference_band(budget)
 
+
+
+# ---------------------------------------------------------------------------
+# Shared grid work keys on equal values, not on identity
+# ---------------------------------------------------------------------------
+
+def _render_per_value(curves):
+    # the per-value cells, every curve's x laid out afresh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svgplot, "_fmt_cells", _reference_fmt_cells)
+        mp.setattr(svgplot.np, "array_equal", lambda a, b: False)
+        return render_loglog(curves, "t", "x", "y")
+
+
+def _preset_spectra(points=700):
+    cfg = load_config(None, [f"grid.points={points}"])
+    grid = cfg.grid()
+    components = bud.model_components(cfg.model, bud.COMPONENT_NAMES, grid, cavity=cfg.cavity)
+    b = bud.total_budget(components, cfg.model.test_mass.mass, grid)
+    return [*b.components, b.total, b.sql]
+
+
+def _assert_outputs_match_per_value_writers(spectra):
+    assert bud.spectra_to_csv(spectra) == _reference_csv(spectra)
+    assert bud.spectra_to_json(spectra) == _reference_json(spectra)
+    curves = [Curve(s.label, s.frequencies, s.asd) for s in spectra]
+    assert render_loglog(curves, "t", "x", "y") == _render_per_value(curves)
+
+
+def test_spectra_on_equal_grid_copies_match_per_value_writers():
+    spectra = [NoiseSpectrum(s.frequencies.copy(), s.asd, s.label) for s in _preset_spectra()]
+    assert all(a.frequencies is not b.frequencies for a, b in zip(spectra, spectra[1:]))
+    _assert_outputs_match_per_value_writers(spectra)
+
+
+def test_middle_spectrum_on_its_own_grid_matches_per_value_writers():
+    spectra = _preset_spectra()
+    own = _preset_spectra(500)[1]  # 10 Hz - 10 kHz in 500 points
+    middle = len(spectra) // 2
+    spectra[middle] = NoiseSpectrum(own.frequencies, own.asd, "own grid")
+    _assert_outputs_match_per_value_writers(spectra)
+    # and an equal length grid that differs in one point
+    shifted = spectra[0].frequencies.copy()
+    shifted[3] = np.nextafter(shifted[3], math.inf)
+    spectra[middle] = NoiseSpectrum(shifted, spectra[0].asd, "shifted grid")
+    _assert_outputs_match_per_value_writers(spectra)
+
+
+def _reference_sweep(param, values, metric):
+    # a config and a grid built afresh at every step
+    rows = []
+    for v in values:
+        raw = load_raw(None)
+        set_numeric(raw, param, float(v))
+        cfg = build_config(raw)
+        bands = bud.thermal_sub_sql_band(cfg.model, cfg.grid())
+        lo, hi = max(bands, key=lambda b: b[1] / b[0]) if bands else (math.nan, math.nan)
+        rows.append(f"{_CSV_FLOAT % v},{_CSV_FLOAT % (lo if metric == 'sub_sql_lo' else hi)}")
+    return "\n".join([f"{param},{metric}", *rows]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "param, start, stop, log",
+    [
+        ("grid.points", 500.0, 800.0, False),  # the grid moves at every step
+        ("grid.f_max", 5e3, 2e4, True),
+        ("fiber.radius", 2.5e-7, 2e-6, True),  # the grid is built once
+    ],
+)
+@pytest.mark.parametrize("metric", ["sub_sql_lo", "sub_sql_hi"])
+def test_sweep_matches_a_loop_that_builds_every_grid(param, start, stop, log, metric, tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--param", param, "--from", repr(start), "--to", repr(stop),
+            "--steps", "4", "--metric", metric, "--out", str(out)]
+    assert cli.main(argv + (["--log"] if log else [])) == 0
+    values = (np.geomspace if log else np.linspace)(start, stop, 4)
+    assert out.read_text() == _reference_sweep(param, values, metric)
+
+
+# ---------------------------------------------------------------------------
+# Byte identity of the design outputs
+# ---------------------------------------------------------------------------
+
+PINNED_SHA256 = {
+    ("budget", "--format", "csv"):
+        "b91a733ffb3321e035be63100d3472bb195d620937788ec18ac52f84913afb64",
+    ("budget", "--format", "json"):
+        "7e328aa7ed8dfa9821977cb221ae245d99eb7651f42dec283cb71500e6f2c284",
+    ("budget", "--format", "svg"):
+        "f143ffe003592ab18a8a29115930d0d40fe5e4656ae3990040a7822d14f61941",
+    ("budget", "--format", "csv", "--set", "grid.points=8000"):
+        "70f918bc280baa7eb324b2d51577a3f5225139a6442bed3fc67e8eff484cd896",
+    ("budget", "--format", "json", "--set", "grid.points=8000"):
+        "b636a1582333633125bdd76268c927f4dfd6d3088518174f5c1143324df17851",
+    ("budget", "--format", "svg", "--set", "grid.points=8000"):
+        "7e7782a1df80a4ef6f05d154002a1b0da70ba358a9c5c5c44d3377a69ce9b644",
+    ("sweep", "--param", "fiber.radius", "--from", "2.5e-7", "--to", "2e-6", "--steps", "30",
+     "--metric", "sub_sql_lo", "--log"):
+        "008008a36cbc96de10ed534534f3e3ae7a1c1c468a56b53cf53301d4514a2972",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SHA256, ids=[" ".join(a) for a in PINNED_SHA256])
+def test_design_outputs_match_pinned_sha256(argv, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[argv]
