@@ -71,32 +71,8 @@ PAPER_PRESET: dict[str, Any] = {
     "suspension": {"measured_pendulum_q": 2.0e6, "violin_modes": 2},
 }
 
-_NUM = "number"
-_INT = "integer"
-_STR = "string"
-_OPT_NUM = "number-or-null"
-
 # numbers that may be set to null; a None preset value is one as well
 _NULLABLE = ("material.measured_q",)
-
-
-def _schema_of(section: dict[str, Any], prefix: str) -> dict[str, Any]:
-    """Schema kinds from preset values: the preset is the schema."""
-    schema: dict[str, Any] = {}
-    for key, value in section.items():
-        path = f"{prefix}.{key}"
-        if isinstance(value, dict):
-            schema[key] = _schema_of(value, path)
-        elif value is None or path in _NULLABLE:
-            schema[key] = _OPT_NUM
-        else:
-            schema[key] = {str: _STR, int: _INT, float: _NUM}[type(value)]
-    return schema
-
-
-SCHEMA: dict[str, dict[str, Any]] = {
-    name: _schema_of(section, name) for name, section in PAPER_PRESET.items()
-}
 
 
 def paper_preset() -> dict:
@@ -108,8 +84,11 @@ def paper_preset() -> dict:
 # Validation and merging
 # ---------------------------------------------------------------------------
 
-def _check_leaf(location: str, kind: str, value: Any) -> Any:
-    if kind == _STR:
+def _check_leaf(location: str, preset: Any, value: Any) -> Any:
+    """value, checked against the preset's own value at location: a str
+    takes a string, an int an integer and a float a finite number; a
+    None, or a location in _NULLABLE, also takes null."""
+    if isinstance(preset, str):
         if not isinstance(value, str):
             raise ConfigError(f"{location}: expected a string, got {value!r}")
         return value
@@ -119,48 +98,43 @@ def _check_leaf(location: str, kind: str, value: Any) -> Any:
             value = float(value)
         except ValueError:
             pass
-    if kind == _OPT_NUM and value is None:
-        return None
-    if kind in (_NUM, _OPT_NUM):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{location}: expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{location}: expected a finite number, got {value!r}")
-        return number
-    if kind == _INT:
-        if isinstance(value, bool):
-            raise ConfigError(f"{location}: expected an integer, got {value!r}")
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{location}: expected an integer, got {value!r}")
-        if not isinstance(value, (int, float)):
+    if isinstance(preset, int):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
             raise ConfigError(f"{location}: expected an integer, got {value!r}")
         return int(value)
-    raise AssertionError(f"unhandled schema kind {kind}")
+    if value is None and (preset is None or location in _NULLABLE):
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{location}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{location}: expected a finite number, got {value!r}")
+    return number
 
 
-def _merge_section(target: dict, schema: dict, data: Any, prefix: str) -> None:
+def _merge_section(target: dict, preset: dict, data: Any, prefix: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix or 'config'}: expected a mapping, got {data!r}")
     for key, value in data.items():
         location = f"{prefix}.{key}" if prefix else str(key)
-        if key not in schema:
+        if key not in preset:
             raise ConfigError(f"unknown config key: {location}")
-        kind = schema[key]
-        if isinstance(kind, dict):
-            _merge_section(target[key], kind, value, location)
+        if isinstance(preset[key], dict):
+            _merge_section(target[key], preset[key], value, location)
         else:
-            target[key] = _check_leaf(location, kind, value)
+            target[key] = _check_leaf(location, preset[key], value)
 
 
 def merge_config(user: dict | None) -> dict:
     """Overlay a user mapping onto the preset, schema-validated."""
     merged = paper_preset()
     if user is not None:
-        _merge_section(merged, SCHEMA, user, "")
+        _merge_section(merged, PAPER_PRESET, user, "")
     return merged
 
 
@@ -179,7 +153,7 @@ def _merge_path(raw: dict, path: str, value: Any) -> None:
     """Merge value at a dotted path, as the one-leaf mapping it spells."""
     for key in reversed(path.split(".")):
         value = {key: value}
-    _merge_section(raw, SCHEMA, value, "")
+    _merge_section(raw, PAPER_PRESET, value, "")
 
 
 def apply_override(raw: dict, assignment: str) -> None:

@@ -12,10 +12,10 @@ no boundary artifacts on finite records and its magnitude is invariant
 to the slow uHz-scale frequency wander real oscillators show.
 
 On day-long records the per-chunk stages (tone synthesis, the trace
-CSV writer and reader) run their chunks on a small shared thread pool
-and take the results in order, and the envelope filters its two
-quadratures on it at once, so the output is the same bytes as a serial
-run's (see _in_order).
+CSV writer and reader) run their chunks on a small thread pool, which
+each call opens and closes, and take the results in order, and the
+envelope filters its two quadratures on one at once, so the output is
+the same bytes as a serial run's (see _in_order).
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import functools
 import json
 import math
 import os
-import threading
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -74,45 +73,37 @@ try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # a platform without affinity masks
     _WORKERS = os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _in_order(fn, items):
     """fn(item) for each item, yielded in the order of items.
 
     With two or more items and workers, the calls run on a thread pool
-    shared by the whole module, at most 2 * _WORKERS of them submitted
-    ahead of the one consumed; items are drawn lazily, on the calling
-    thread.  A single item, or a single worker, runs inline and starts
-    no thread.  When the consumer stops early, or a call raises, the
-    calls not started are cancelled and the running ones finished
-    before this returns.  fn must not call a public function of this
-    module (the benchmark's span tracer wraps those, and it keeps one
-    span stack) nor change the warnings filters, which every thread
-    shares.
+    this call opens, at most 2 * _WORKERS of them submitted ahead of
+    the one consumed; items are drawn lazily, on the calling thread.  A
+    single item, or a single worker, runs inline and starts no thread.
+    When the consumer stops early, or a call raises, the calls not
+    started are cancelled and the running ones finished before this
+    returns, and no thread of the pool outlives it.  fn must not call a
+    public function of this module (the benchmark's span tracer wraps
+    those, and it keeps one span stack) nor change the warnings filters,
+    which every thread shares.
     """
-    global _pool
     items = iter(items)
     head = list(islice(items, 2))
     if len(head) < 2 or _WORKERS < 2:
         yield from map(fn, chain(head, items))
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="pendq-ringdown")
-        pool = _pool
     items = chain(head, items)
-    pending = deque(pool.submit(fn, item) for item in islice(items, 2 * _WORKERS))
-    try:
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
-            yield result
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
+    with ThreadPoolExecutor(_WORKERS, thread_name_prefix="pendq-ringdown") as pool:
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * _WORKERS))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -315,12 +306,15 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
     gain[on_edge] = 0.5 * (
         1.0 + np.cos(math.pi * (df[on_edge] - bandwidth / 2.0) / edge)
     )
-    spectrum = np.fft.rfft(trace.samples)
-    spectrum[lo:hi] *= gain
-    # a product with 0.0, not an assignment, gives zeros of the same signs
-    spectrum[:lo] *= 0.0
-    spectrum[hi:] *= 0.0
-    filtered = np.fft.irfft(spectrum, n=n)
+    # samples near the float range overflow the spectrum; the filtered
+    # samples are then not finite, which RingdownTrace refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(trace.samples)
+        spectrum[lo:hi] *= gain
+        # a product with 0.0, not an assignment, gives zeros of the same signs
+        spectrum[:lo] *= 0.0
+        spectrum[hi:] *= 0.0
+        filtered = np.fft.irfft(spectrum, n=n)
     return RingdownTrace(
         sample_rate=trace.sample_rate, samples=filtered, start_time=trace.start_time
     )
@@ -342,22 +336,19 @@ def _lowpass(corner: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _filtfilt_every(
-    sos: np.ndarray, ext: np.ndarray, edge: int, step: int, zi: np.ndarray | None = None
+    sos: np.ndarray, ext: np.ndarray, edge: int, step: int, zi: np.ndarray
 ) -> np.ndarray:
     """signal.sosfiltfilt(sos, x)[::step], bit for bit, for x = ext[edge:-edge].
 
     Writes sosfiltfilt's odd extension into the edge samples at each end
     of ext, then filters ext in place, forward and then backward, chunk
     by chunk, carrying the state: one buffer, where sosfiltfilt
-    allocates three beside its input.  zi is signal.sosfilt_zi(sos),
-    computed here when not given.  It calls no public function, so it
-    may run on the pool.
+    allocates three beside its input.  zi is signal.sosfilt_zi(sos).
+    It calls no public function, so it may run on the pool.
     """
     x = ext[edge:-edge]
     ext[:edge] = 2 * x[0] - x[edge:0:-1]
     ext[-edge:] = 2 * x[-1] - x[-2 : -(edge + 2) : -1]
-    if zi is None:
-        zi = signal.sosfilt_zi(sos)
     # each pass starts from the steady state of its first sample
     for view in (ext, ext[::-1]):
         state = zi * view[0]
@@ -438,8 +429,10 @@ def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
         raise InsufficientDataError("all bins dropped (fewer than 2 samples each)")
     # empty bins drop below; dividing them by 1 keeps 0/0 out
     means = np.bincount(idx, weights=amplitudes) / np.maximum(counts, 1)
-    # two-pass variance: squared deviations from each bin's own mean
-    squares = np.bincount(idx, weights=(amplitudes - means[idx]) ** 2)
+    # two-pass variance: squared deviations from each bin's own mean; a
+    # square past the float range is inf, which BinnedEnvelope refuses
+    with np.errstate(over="ignore"):
+        squares = np.bincount(idx, weights=(amplitudes - means[idx]) ** 2)
     counts = counts[keep]
     return BinnedEnvelope(
         bin_centers=np.bincount(idx, weights=times)[keep] / counts,
@@ -606,7 +599,7 @@ _CSV_SLICE_CHARS = 1 << 20
 def trace_to_csv(trace: RingdownTrace) -> str:
     """time_s,value CSV of the trace, every cell written as _CSV_FLOAT.
 
-    Chunks of _CSV_CHUNK_ROWS rows are formatted on the shared pool into
+    Chunks of _CSV_CHUNK_ROWS rows are formatted on a thread pool into
     ASCII bytes; the calling thread copies them, in order, into one
     buffer and decodes it once, so the text is never held in parts.
     """
@@ -676,14 +669,14 @@ def trace_from_csv(text: str) -> RingdownTrace:
     The body is read in slices of about _CSV_SLICE_CHARS characters,
     cut after a newline, into preallocated time and sample arrays.  A
     slice of the rows trace_to_csv writes takes the exact vectorised
-    reader _csv_float_pairs, on the shared pool; any other slice takes
+    reader _csv_float_pairs, on a thread pool; any other slice takes
     _parse_rows, on the calling thread, in file order.  Either way
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.
 
     Raises DomainError for a missing header, a row without exactly 2
-    numeric fields, fewer than 2 rows, and non-finite, unordered or
-    non-uniform times.
+    numeric fields, fewer than 2 rows, non-finite times or steps, and
+    unordered or non-uniform times.
     """
     text = text.lstrip()
     newline = text.find("\n")
@@ -722,11 +715,14 @@ def trace_from_csv(text: str) -> RingdownTrace:
     if not np.all(np.isfinite(times[:filled])):
         raise DomainError("trace times must be finite")
     start_time = float(times[0])
-    dt = np.diff(times[:filled])
+    with np.errstate(over="ignore"):  # a step past the float range is inf
+        dt = np.diff(times[:filled])
     del times  # freed before the step checks allocate their own row-sized arrays
     if np.any(dt <= 0.0):
         raise DomainError("trace times must be strictly increasing")
     step = float(np.median(dt))
+    if step == math.inf:
+        raise DomainError("trace time steps must be finite, got inf")
     dt -= step
     if np.any(np.abs(dt, out=dt) > 1e-6 * step):
         raise DomainError("trace times must be uniformly sampled")

@@ -269,8 +269,11 @@ def thermoelastic_loss_angle(fiber: Fiber, env: Environment, omega) -> float | n
         mat.density * mat.specific_heat * fiber.radius**2
         / (ZENER_MODE_CONSTANT * mat.thermal_conductivity)
     )
-    x = omega * tau
-    phi = strength * x / (1.0 + x**2)
+    # as the conductivity nears 0, (omega tau)^2 and then omega tau
+    # overflow to inf: phi_te takes its omega tau -> inf limit there, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = omega * tau
+        phi = np.where(x < math.inf, strength * x / (1.0 + x**2), 0.0)
     return float(phi) if phi.ndim == 0 else phi
 
 

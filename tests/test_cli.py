@@ -758,3 +758,70 @@ def test_overflowing_grid_overrides_exit_4_without_warnings(argv):
     assert proc.returncode == 4
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("analysis error: spectrum ")
+
+
+# extreme but schema-valid calls: each exits cleanly with at most one
+# stderr line under -W error, where a numpy warning would be a traceback
+# (exit 1) and read as a failed requirement.  {big}, {huge} and {wide}
+# are trace files written by the fixture below
+NO_MEASURED_Q = ["--set", "material.measured_q=null", "--set"]
+SWEEP_RADIUS = ["sweep", "--param", "fiber.radius", "--from", "2e-7", "--to", "2e-6",
+                "--steps", "3", "--metric", "sub_sql_lo", "--out", "-"]
+EXTREME_CALLS = {
+    "kappa-1e-300": (["check", *NO_MEASURED_Q, "material.thermal_conductivity=1e-300"], 0, ""),
+    "kappa-1e-320": (["check", *NO_MEASURED_Q, "material.thermal_conductivity=1e-320"], 0, ""),
+    "budget-kappa-1e-320": (
+        ["budget", "--out", "-", *NO_MEASURED_Q, "material.thermal_conductivity=1e-320"], 0, ""
+    ),
+    "sweep-kappa-1e-320": (
+        [*SWEEP_RADIUS, *NO_MEASURED_Q, "material.thermal_conductivity=1e-320"], 0, ""
+    ),
+    "amplitude-1e160": (["ringdown", "fit", "{big}"], 4,
+                        "analysis error: standard errors must be finite"),
+    "amplitude-1e308": (["ringdown", "fit", "{huge}"], 4,
+                        "analysis error: samples must be finite"),
+    "times-1e308": (["ringdown", "fit", "{wide}"], 4,
+                    "analysis error: trace time steps must be finite, got inf"),
+    "radius": (["check", "--set", "fiber.radius=1e-300"], 4,
+               "analysis error: ZeroDivisionError"),
+    "mass": (["check", "--set", "test_mass.mass=1e300"], 4, "analysis error: OverflowError"),
+    "temperature": (["check", "--set", "environment.temperature=1e300"], 4,
+                    "analysis error: Qf product not finite"),
+    "detuning": (["check", "--set", "cavity.trap_detuning_in_kappa=1e300"], 4,
+                 "analysis error: OverflowError"),
+    "probe-power": (
+        ["budget", "--format", "csv", "--out", "-", "--set", "cavity.probe_power=1e-300"], 4,
+        "analysis error: ZeroDivisionError",
+    ),
+    "bandwidth": (["ringdown", "fit", str(FIXTURE), "--bandwidth", "1e-300"], 4,
+                  "analysis error: settling trim"),
+    "f0": (["ringdown", "fit", str(FIXTURE), "--f0", "1e300"], 4, "analysis error: band "),
+}
+
+
+@pytest.fixture(scope="module")
+def extreme_traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("extreme")
+    paths = {"big": root / "big.csv", "huge": root / "huge.csv", "wide": root / "wide.csv"}
+    for name, amplitude in (("big", 1e160), ("huge", 1e308)):
+        trace = ringdown_mod.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, amplitude=amplitude,
+                                                 noise_rms=0.4, seed=1)
+        paths[name].write_text(ringdown_mod.trace_to_csv(trace))
+    paths["wide"].write_text("time_s,value\n-1e308,1\n1e308,2\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("case", EXTREME_CALLS)
+def test_extreme_calls_exit_cleanly_under_warnings_as_errors(case, extreme_traces):
+    argv, code, message = EXTREME_CALLS[case]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pendq.cli",
+         *(arg.format(**extreme_traces) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=300,
+    )
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+    assert (proc.returncode, proc.stderr[: len(message)]) == (code, message)

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,3 +289,109 @@ def test_each_section_holds_one_consumers_parameters():
         - {"traces", "refine"},
     }
     assert {name: set(section) for name, section in cfg.PAPER_PRESET.items()} == consumers
+
+
+# ---------------------------------------------------------------------------
+# each leaf's kind, and the message a value of another kind gets
+# ---------------------------------------------------------------------------
+
+def _leaves(section, prefix=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+LEAF_PATHS = list(_leaves(cfg.PAPER_PRESET))
+# every other leaf is a finite number
+KINDS = {
+    "material.name": "string",
+    "grid.points": "integer",
+    "suspension.violin_modes": "integer",
+    "material.measured_q": "number-or-null",
+    "test_mass.attachment_offset": "number-or-null",
+}
+
+# (value, what follows "<path>: expected ") for each kind
+_NOT_A_NUMBER = [
+    ("thick", "a number, got 'thick'"),
+    (True, "a number, got True"),
+    ([1.0], "a number, got [1.0]"),
+    ({"a": 1}, "a number, got {'a': 1}"),
+    (math.inf, "a finite number, got inf"),
+    ("nan", "a finite number, got nan"),
+    ("-1e400", "a finite number, got -inf"),
+    (10**400, f"a finite number, got {10**400!r}"),
+]
+WRONG_KIND = {
+    "string": [
+        (1e3, "a string, got 1000.0"),
+        (None, "a string, got None"),
+        (True, "a string, got True"),
+        (["a"], "a string, got ['a']"),
+    ],
+    "integer": [
+        (2.5, "an integer, got 2.5"),
+        ("2.5", "an integer, got 2.5"),
+        (True, "an integer, got True"),
+        ("many", "an integer, got 'many'"),
+        (None, "an integer, got None"),
+        ([1], "an integer, got [1]"),
+        (math.inf, "an integer, got inf"),
+    ],
+    "number": [*_NOT_A_NUMBER, (None, "a number, got None")],
+    "number-or-null": _NOT_A_NUMBER,
+}
+# (value, the merged value) for each kind
+RIGHT_KIND = {
+    "string": [("x", "x")],
+    "integer": [(100.0, 100), ("1e3", 1000), (7, 7)],
+    "number": [(3, 3.0), ("4e-7", 4e-7), (2.5, 2.5)],
+    "number-or-null": [(3, 3.0), (None, None)],
+}
+
+
+def _nest(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _lookup(raw, path):
+    for key in path.split("."):
+        raw = raw[key]
+    return raw
+
+
+def test_leaf_kinds_cover_the_preset():
+    assert set(KINDS) <= set(LEAF_PATHS)
+    assert len(LEAF_PATHS) == len(set(LEAF_PATHS)) == 40
+
+
+@pytest.mark.parametrize("path", LEAF_PATHS)
+def test_each_leaf_refuses_another_kind_with_its_message(path):
+    for value, expected in WRONG_KIND[KINDS.get(path, "number")]:
+        with pytest.raises(ConfigError) as exc:
+            cfg.merge_config(_nest(path, value))
+        assert str(exc.value) == f"{path}: expected {expected}"
+
+
+@pytest.mark.parametrize("path", LEAF_PATHS)
+def test_each_leaf_takes_its_kind(path):
+    for value, merged in RIGHT_KIND[KINDS.get(path, "number")]:
+        got = _lookup(cfg.merge_config(_nest(path, value)), path)
+        assert got == merged and type(got) is type(merged)
+
+
+@pytest.mark.parametrize("path", LEAF_PATHS)
+def test_null_is_taken_at_exactly_the_nullable_leaves(path):
+    raw = cfg.paper_preset()
+    if KINDS.get(path) == "number-or-null":
+        # also after a number was set there
+        cfg.apply_override(raw, f"{path}=1.5")
+        cfg.apply_override(raw, f"{path}=null")
+        assert _lookup(raw, path) is None
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+            cfg.apply_override(raw, f"{path}=null")

@@ -1,7 +1,7 @@
 """Chunk-parallel ring-down stages against the serial code they replaced.
 
 The tone synthesis, the demodulation, the trace CSV writer and the
-trace CSV reader run their chunks on a shared thread pool.  The
+trace CSV reader run their chunks on a thread pool each call opens.  The
 references here are the whole-array and per-row expressions those
 stages replaced; every result must match them byte for byte, with the
 worker count patched to 1 (everything inline) and to 2 (the pool).
@@ -104,17 +104,12 @@ def _outcome(trace):
 
 def test_in_order_yields_in_item_order_on_pool_threads(monkeypatch):
     monkeypatch.setattr(rd, "_WORKERS", 2)
-    monkeypatch.setattr(rd, "_pool", None)
 
     def work(k):
         time.sleep(0.002 * (k % 3))  # later items often finish first
         return k, threading.current_thread().name
 
-    try:
-        results = list(rd._in_order(work, range(12)))
-    finally:
-        if rd._pool is not None:
-            rd._pool.shutdown()
+    results = list(rd._in_order(work, range(12)))
     assert [k for k, _ in results] == list(range(12))
     assert all(name.startswith("pendq-ringdown") for _, name in results)
 
@@ -168,11 +163,46 @@ def test_in_order_finishes_running_calls_when_the_consumer_stops(monkeypatch):
     assert len(finished) == count < 100
 
 
+def _pool_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("pendq-ringdown")]
+
+
+def test_no_pool_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(rd, "_WORKERS", 2)
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 3300.0, noise_rms=0.4, seed=15)
+    assert trace.samples.size > 2 * rd._CHUNK_SAMPLES
+    assert _pool_threads() == []
+    rd.trace_to_csv(trace)
+    assert _pool_threads() == []
+
+
+def test_closing_in_order_early_cancels_the_calls_not_started(monkeypatch):
+    monkeypatch.setattr(rd, "_WORKERS", 2)
+    started, release = [], threading.Event()
+
+    def work(k):
+        started.append(k)
+        if k:  # item 0 returns at once; the next ones hold both workers
+            release.wait(5.0)
+        return k
+
+    results = rd._in_order(work, range(100))
+    assert next(results) == 0
+    timer = threading.Timer(0.05, release.set)  # lets the held calls finish
+    timer.start()
+    results.close()
+    timer.join()
+    # items 3 and 4 were submitted but queued behind the held ones
+    assert set(started) <= {0, 1, 2}
+    assert _pool_threads() == []
+    time.sleep(0.02)
+    assert set(started) <= {0, 1, 2}
+
+
 def test_many_workers_with_fast_switching_match_serial(monkeypatch):
     # more workers than cores and a short switch interval: a chunk lost,
     # misplaced or taken out of order would change the bytes
     monkeypatch.setattr(rd, "_WORKERS", 8)
-    monkeypatch.setattr(rd, "_pool", None)
     monkeypatch.setattr(rd, "_CHUNK_SAMPLES", 501)
     monkeypatch.setattr(rd, "_CSV_CHUNK_ROWS", 333)
     monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", 4000)
@@ -187,8 +217,6 @@ def test_many_workers_with_fast_switching_match_serial(monkeypatch):
         t, a = rd.envelope(trace, 2.2)
     finally:
         sys.setswitchinterval(interval)
-        if rd._pool is not None:
-            rd._pool.shutdown()
     assert trace.samples.tobytes() == _serial_synthesize(**kwargs).tobytes()
     assert text == _serial_csv(trace)
     assert _outcome(parsed) == _serial_parse(text)
@@ -384,7 +412,7 @@ def test_filtfilt_every_matches_sosfiltfilt(f0, rate, size):
     ext = np.empty(n + 2 * edge)
     ext[edge:-edge] = x
     assert edge == 3 * (2 * len(sos) + 1)  # sosfiltfilt's default padlen
-    got = rd._filtfilt_every(sos, ext, edge, step)
+    got = rd._filtfilt_every(sos, ext, edge, step, signal.sosfilt_zi(sos))
     assert got.tobytes() == signal.sosfiltfilt(sos, x)[::step].tobytes()
 
 

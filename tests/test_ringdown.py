@@ -149,6 +149,12 @@ def test_bin_average_validation():
         rd.bin_average(np.arange(10.0), np.ones(10), 1.5)  # bin <= 2 dt
 
 
+def test_bin_average_refuses_squares_past_the_float_range():
+    amplitudes = np.tile([1e160, -1e160], 10)
+    with pytest.raises(DomainError, match="standard errors must be finite"):
+        rd.bin_average(np.arange(20.0), amplitudes, 5.0)
+
+
 def _loop_bin_average(times, amplitudes, bin_seconds):
     """Per-bin loop reference: (centers, means, sems, counts) of bins with >= 2 samples."""
     idx = np.floor((times - times[0]) / bin_seconds).astype(int)

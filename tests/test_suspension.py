@@ -223,6 +223,21 @@ def test_thermoelastic_peak_and_shape():
         susp.thermoelastic_loss_angle(FIBER, ENV, -1.0)
 
 
+@pytest.mark.parametrize("kappa", [1e-300, 1e-320])
+def test_thermoelastic_loss_vanishes_as_conductivity_nears_zero(kappa):
+    # omega tau squared overflows at 1e-300, and omega tau itself at
+    # 1e-320: both take the omega tau -> inf limit, without a warning
+    fiber = dataclasses.replace(
+        FIBER, material=dataclasses.replace(FIBER.material, thermal_conductivity=kappa)
+    )
+    assert susp.thermoelastic_loss_angle(fiber, ENV, 1.0) == 0.0
+    phi = susp.thermoelastic_loss_angle(fiber, ENV, np.array([0.0, 1.0, 1e300]))
+    assert phi.tolist() == [0.0, 0.0, 0.0]
+    assert 1.0 / susp.material_loss_budget(fiber, ENV, 1.0).total_phi == (
+        1.0 / (FIBER.material.bulk_loss_angle + 1.0 / susp.surface_limited_q(fiber))
+    )
+
+
 def test_thermoelastic_needs_thermal_properties():
     bare = Material(
         name="bare",

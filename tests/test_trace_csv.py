@@ -293,6 +293,20 @@ def test_trace_csv_rejects_non_finite_times(text):
         rd.trace_from_csv(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time_s,value\n-1e308,1\n1e308,2\n", "trace time steps must be finite, got inf"),
+        # one step past the float range among finite ones is not uniform
+        ("time_s,value\n-1e308,1\n1e308,2\n1.1e308,3\n1.2e308,4\n",
+         "trace times must be uniformly sampled"),
+    ],
+)
+def test_trace_csv_refuses_a_step_past_the_float_range(text, message):
+    with pytest.raises(DomainError, match=message):
+        rd.trace_from_csv(text)
+
+
 # ---------------------------------------------------------------------------
 # exact reader of canonical rows
 # ---------------------------------------------------------------------------
