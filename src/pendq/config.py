@@ -9,7 +9,6 @@ preset doubles as the schema: each key's kind follows its preset value.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
@@ -75,9 +74,15 @@ PAPER_PRESET: dict[str, Any] = {
 _NULLABLE = ("material.measured_q",)
 
 
+def _copy_sections(section: dict) -> dict:
+    """A copy of section and of every dict in it; the other values, the
+    preset's numbers, strings and None, are immutable and shared."""
+    return {k: _copy_sections(v) if isinstance(v, dict) else v for k, v in section.items()}
+
+
 def paper_preset() -> dict:
     """Deep copy of the built-in reference-experiment parameter set."""
-    return copy.deepcopy(PAPER_PRESET)
+    return _copy_sections(PAPER_PRESET)
 
 
 # ---------------------------------------------------------------------------

@@ -282,8 +282,6 @@ _EXPONENTS = np.frombuffer(
 )
 # "0.".."9." as 2-byte cells
 _LEAD_DOTS = np.frombuffer(b"".join(b"%d." % k for k in range(10)), dtype="V2")
-# widest _CSV_FLOAT cell: sign, digit, ".", 8 digits, "e", sign, 3 digits
-_CSV_FLOAT_WIDTH = 16
 # widest JSON number cell: sign, 16 integer digits, ".", 1 digit
 _JSON_FLOAT_WIDTH = 19
 

@@ -40,7 +40,6 @@ from .core import (
     FitError,
     InsufficientDataError,
     ShapeError,
-    _CSV_FLOAT_WIDTH,
     _csv_float_pairs,
     _csv_rows,
     _require_finite,
@@ -56,10 +55,11 @@ MIN_CYCLES = 10.0
 MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
-# is allocated: `pendq ringdown synth` peaks at about 70 bytes per sample
-# (404-410 MB for a 24 h 50 Hz record of 4.32 M samples, 105 MB of it
-# the interpreter and imports), so this caps it near 2.9 GB and admits a
-# 7-day 50 Hz record (30.24 M samples)
+# is allocated: `pendq ringdown synth` peaks at about 40 bytes per sample
+# and `ringdown fit` of its CSV at about 51 (275 and 325 MB for a 24 h
+# 50 Hz record of 4.32 M samples, 105 MB of it the interpreter and
+# imports), so this caps them near 1.7 and 2.1 GB and admits a 7-day
+# 50 Hz record (30.24 M samples)
 MAX_SYNTH_SAMPLES = 40_000_000
 
 # samples per chunk of the elementwise stages (tone synthesis,
@@ -539,6 +539,21 @@ def _refine_nonlinear(
     return tau, math.sqrt(var_tau) / tau
 
 
+# the largest |sample| measure_q fits as it is: within this range the
+# spectrum's sums and the squared deviations of the binned envelope stay
+# far inside the float range, beyond it they can overflow or underflow
+_PEAK_RANGE = (2.0**-256, 2.0**256)
+
+
+def _rescaling(traces: list[RingdownTrace]) -> int:
+    """The power of two that brings the largest |sample| of the traces
+    into [1, 2) when it lies outside _PEAK_RANGE, else 0."""
+    peak = max(max(float(tr.samples.max()), -float(tr.samples.min())) for tr in traces)
+    if peak == 0.0 or _PEAK_RANGE[0] <= peak < _PEAK_RANGE[1]:
+        return 0
+    return 1 - math.frexp(peak)[1]
+
+
 def measure_q(
     traces: RingdownTrace | list[RingdownTrace],
     f0: float,
@@ -553,12 +568,19 @@ def measure_q(
     records shrinks the fitted uncertainty by about sqrt(k).  The first
     and last SETTLE_BANDWIDTHS/bandwidth seconds of each envelope are
     discarded to drop zero-phase filter edge transients.
+
+    Q does not depend on the records' scale, and neither does the fit:
+    when the largest |sample| of the traces lies outside _PEAK_RANGE,
+    every trace is first multiplied by the power of two that brings it
+    into [1, 2), which is exact.  Traces inside the range are fitted as
+    they are.
     """
     if isinstance(traces, RingdownTrace):
         traces = [traces]
     if not traces:
         raise InsufficientDataError("no traces given")
     settle = SETTLE_BANDWIDTHS / _require_positive("bandwidth", bandwidth)
+    shift = _rescaling(traces)
     all_t, all_a = [], []
     for trace in traces:
         if trace.duration * f0 < MIN_CYCLES:
@@ -566,6 +588,9 @@ def measure_q(
                 f"trace holds {trace.duration * f0:.1f} cycles of {f0} Hz, "
                 f"need >= {MIN_CYCLES:g}"
             )
+        if shift:
+            trace = RingdownTrace(trace.sample_rate, np.ldexp(trace.samples, shift),
+                                  trace.start_time)
         t, a = envelope(bandpass(trace, f0, bandwidth), f0)
         keep = (t - t[0] >= settle) & (t[-1] - t >= settle)
         if not keep.any():
@@ -599,28 +624,38 @@ _CSV_SLICE_CHARS = 1 << 20
 def trace_to_csv(trace: RingdownTrace) -> str:
     """time_s,value CSV of the trace, every cell written as _CSV_FLOAT.
 
-    Chunks of _CSV_CHUNK_ROWS rows are formatted on a thread pool into
-    ASCII bytes; the calling thread copies them, in order, into one
-    buffer and decodes it once, so the text is never held in parts.
+    Chunks of _CSV_CHUNK_ROWS rows are formatted and decoded on a
+    thread pool; the calling thread appends them, in order, to the one
+    str it returns, which grows in place (see _append_in_place), so the
+    whole text is held once.
     """
     samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
 
-    def rows(lo: int) -> np.ndarray:
+    def rows(lo: int) -> str:
         values = samples[lo : lo + _CSV_CHUNK_ROWS]
         # the same expression as trace.times, evaluated for this chunk only
         times = start + np.arange(lo, lo + values.size) / rate
-        return _csv_rows([times, values], "\n")
+        return codecs.decode(_csv_rows([times, values], "\n"), "ascii")
 
-    head = np.frombuffer((TRACE_HEADER + "\n").encode("ascii"), dtype=np.uint8)
-    # rows are at most two widest cells, "," and "\n"; pages the text
-    # does not reach are never touched
-    text = np.empty(head.size + samples.size * (2 * _CSV_FLOAT_WIDTH + 2), dtype=np.uint8)
-    text[: head.size] = head
-    end = head.size
-    for chunk in _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS)):
-        text[end : end + chunk.size] = chunk
-        end += chunk.size
-    return codecs.decode(memoryview(text)[:end], "ascii")
+    chunks = _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS))
+    return _append_in_place(TRACE_HEADER + "\n", chunks)
+
+
+def _append_in_place(text: str, parts) -> str:
+    """text followed by every str of parts, built as one str.
+
+    CPython 3.11 specializes the `+=` below (a str added to the local it
+    is stored back to) into an append that resizes the str in place
+    while nothing else refers to it, and glibc grows a large block by
+    remapping its pages, not by copying them.  So the text is held once,
+    where "".join(parts), or a byte buffer decoded at the end, holds it
+    twice.  Keep the loop a plain `for`: a `while got := ...` loop left
+    the `+=` generic on 3.11, and a generic `+=` copies the whole text
+    at every append, as it also does under sys.settrace or a profiler.
+    """
+    for part in parts:
+        text += part
+    return text
 
 
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
@@ -673,6 +708,9 @@ def trace_from_csv(text: str) -> RingdownTrace:
     _parse_rows, on the calling thread, in file order.  Either way
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.
+    The step checks write the steps over the times and take their
+    median in place, so beside the caller's text the parse holds the
+    two arrays and no other row-sized one.
 
     Raises DomainError for a missing header, a row without exactly 2
     numeric fields, fewer than 2 rows, non-finite times or steps, and
@@ -715,12 +753,18 @@ def trace_from_csv(text: str) -> RingdownTrace:
     if not np.all(np.isfinite(times[:filled])):
         raise DomainError("trace times must be finite")
     start_time = float(times[0])
+    # the steps overwrite the times, chunk by chunk from the front, so no
+    # row-sized array is allocated beside them: a chunk reads the first
+    # time of the next one before that chunk is overwritten
+    dt = times[: filled - 1]
     with np.errstate(over="ignore"):  # a step past the float range is inf
-        dt = np.diff(times[:filled])
-    del times  # freed before the step checks allocate their own row-sized arrays
+        for lo in range(0, dt.size, _CHUNK_SAMPLES):
+            hi = min(lo + _CHUNK_SAMPLES, dt.size)
+            np.subtract(times[lo + 1 : hi + 1], times[lo:hi], out=dt[lo:hi])
     if np.any(dt <= 0.0):
         raise DomainError("trace times must be strictly increasing")
-    step = float(np.median(dt))
+    # the median reorders dt in place; the check below takes every step alike
+    step = float(np.median(dt, overwrite_input=True))
     if step == math.inf:
         raise DomainError("trace time steps must be finite, got inf")
     dt -= step

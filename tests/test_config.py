@@ -1,5 +1,6 @@
 """Configuration schema, merging, overrides, and typed assembly."""
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -30,6 +31,19 @@ def test_preset_is_deep_copied():
     b = cfg.paper_preset()
     assert b["material"]["density"] == 2200.0
     assert b["material"]["surface_q_reference"]["q"] == 2.0e4
+
+
+def _dicts(section: dict) -> list[dict]:
+    return [section] + [d for v in section.values() if isinstance(v, dict) for d in _dicts(v)]
+
+
+def test_preset_copy_equals_a_deepcopy_and_shares_no_dict():
+    copied = cfg.paper_preset()
+    assert copied == copy.deepcopy(cfg.PAPER_PRESET)
+    assert not {id(d) for d in _dicts(copied)} & {id(d) for d in _dicts(cfg.PAPER_PRESET)}
+    # what the copy shares is immutable
+    leaves = [v for d in _dicts(copied) for v in d.values() if not isinstance(v, dict)]
+    assert {type(v) for v in leaves} <= {str, int, float, type(None)}
 
 
 def test_merge_overrides_subset():

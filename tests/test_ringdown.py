@@ -299,6 +299,40 @@ def test_measure_q_amplitude_invariant():
     assert math.isclose(a.tau, b.tau, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("power", [600, -600, 300, -300])
+def test_measure_q_fits_a_rescaled_record_exactly(power):
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=1)
+    # the record whose largest |sample| lies in [1, 2), where a record
+    # outside rd._PEAK_RANGE is brought
+    peak = float(np.max(np.abs(trace.samples)))
+    base = rd.RingdownTrace(50.0, np.ldexp(trace.samples, 1 - math.frexp(peak)[1]))
+    scaled = rd.RingdownTrace(50.0, np.ldexp(base.samples, power))
+    assert np.array_equal(np.ldexp(scaled.samples, -power), base.samples)
+    expected = rd.fit_to_json(rd.measure_q(base, 2.2, 0.5, 20.0))
+    assert rd.fit_to_json(rd.measure_q(scaled, 2.2, 0.5, 20.0)) == expected
+    # pooled records share one scale
+    pooled = [base, rd.RingdownTrace(50.0, base.samples / 4.0)]
+    expected = rd.fit_to_json(rd.measure_q(pooled, 2.2, 0.5, 20.0))
+    pooled = [rd.RingdownTrace(50.0, np.ldexp(tr.samples, power)) for tr in pooled]
+    assert rd.fit_to_json(rd.measure_q(pooled, 2.2, 0.5, 20.0)) == expected
+
+
+def test_measure_q_fits_records_inside_the_peak_range_as_they_are():
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=1)
+    exponent = math.frexp(float(np.max(np.abs(trace.samples))))[1]
+
+    def shift_for_peak_in(power):
+        # the rescaling of the trace moved to a peak in [2^power, 2^(power + 1))
+        moved = np.ldexp(trace.samples, power + 1 - exponent)
+        return rd._rescaling([rd.RingdownTrace(50.0, moved)])
+
+    assert rd._PEAK_RANGE == (2.0**-256, 2.0**256)
+    assert shift_for_peak_in(-256) == shift_for_peak_in(255) == 0
+    assert shift_for_peak_in(-257) == 257
+    assert shift_for_peak_in(256) == -256
+    assert rd._rescaling([rd.RingdownTrace(50.0, np.zeros(10))]) == 0
+
+
 def test_measure_q_pooling_shrinks_error():
     traces = [
         rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=s)

@@ -1,0 +1,104 @@
+"""A day-long record's CSV text is held once by the writer and the reader.
+
+Each step runs in a fresh interpreter, so the rise of its ru_maxrss
+over the value just before the step is the step's own peak.  A step
+that holds the text twice (a byte buffer and its decoded str, or parts
+and their join) rises by about twice the text, and so does an append
+that copies the text each time; the bound is 1.4 times the text.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+from pendq import cli, ringdown
+
+ROWS = 1 << 20  # about 31 MB of text
+GROWTH_LIMIT = 1.4
+
+# the writer keeps a few formatted chunks in flight per worker thread, so
+# the child runs on two CPUs at most, whatever the machine has
+PROBE = """
+import json, os, resource, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from pendq import cli, ringdown
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+step, path = sys.argv[1:]
+if step == "write":
+    trace = ringdown.synthesize_ringdown(2.2, 2000.0, 50.0, {rows} / 50.0, noise_rms=0.4)
+    before = peak()
+    text = ringdown.trace_to_csv(trace)
+    growth = peak() - before
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+else:
+    before = peak()
+    text = cli._read_text(path)
+    growth = peak() - before
+print(json.dumps({{"growth": growth, "chars": len(text)}}))
+""".format(rows=ROWS)
+
+
+def _probe(step: str, path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, step, str(path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "record.csv"
+    return path, _probe("write", path)
+
+
+def test_trace_to_csv_holds_the_text_once(written):
+    path, result = written
+    assert result["chars"] == path.stat().st_size
+    assert result["growth"] < GROWTH_LIMIT * result["chars"]
+
+
+def test_read_holds_the_text_once(written):
+    path, _ = written
+    result = _probe("read", path)
+    assert result["chars"] == path.stat().st_size
+    assert result["growth"] < GROWTH_LIMIT * result["chars"]
+
+
+def _record(end: str, mark: str) -> str:
+    # a trace after a line of 2-, 3- and 4-byte characters longer than
+    # the read's buffer, so slices end inside the line
+    trace = ringdown.synthesize_ringdown(2.2, 2000.0, 50.0, 2400.0, noise_rms=0.4, seed=3)
+    wide = "\u00e9\u20ac\U0001f600" * (cli._READ_BYTES // 6)
+    return mark + (wide + "\n" + ringdown.trace_to_csv(trace)).replace("\n", end)
+
+
+LAYOUTS = {"LF": ("\n", ""), "CRLF": ("\r\n", ""), "mark": ("\n", "\ufeff"),
+           "mark-CRLF": ("\r\n", "\ufeff")}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_sliced_read_is_a_text_mode_read(layout, tmp_path):
+    path = tmp_path / "record.csv"
+    path.write_bytes(_record(*LAYOUTS[layout]).encode("utf-8"))
+    assert path.stat().st_size > 3 * cli._READ_BYTES
+    with open(path, encoding="utf-8-sig") as fh:
+        expected = fh.read()
+    assert cli._read_text(str(path)) == expected
+    # a pipe delivers the same bytes in other slices
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import hashlib, sys; from pendq import cli; "
+         "print(hashlib.sha256(cli._read_text('/dev/stdin').encode()).hexdigest())"],
+        input=path.read_bytes(), capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == hashlib.sha256(expected.encode()).hexdigest()
