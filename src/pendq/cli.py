@@ -13,11 +13,9 @@ error, 3 I/O error, 4 analysis-domain error.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -212,71 +210,10 @@ def cmd_ringdown_synth(args) -> int:
     return EXIT_OK
 
 
-# bytes per read of a trace file: the one buffer its slices are read into
-_READ_BYTES = 1 << 20
-
-
-def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
-    """str(exc) for the same error found shift bytes further into a stream."""
-    start, end = exc.start + shift, exc.end + shift
-    if exc.end - exc.start == 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        where = f"bytes in position {start}-{end - 1}"
-    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-
-
-def _text_slices(fh, path: str):
-    """The text of the binary file fh, as open(path, encoding="utf-8-sig")
-    reads it, in slices decoded from one reused buffer.
-
-    The buffer holds min(file size, _READ_BYTES) bytes, or _READ_BYTES
-    for a pipe, and at least 4: the bytes of a character a slice cut off
-    move to its start, and the next read fills the rest.  A leading byte
-    order mark, which spreadsheets put before the header, is dropped.  A
-    decode error is a DomainError whose message gives the positions a
-    decode of the whole stream gives: past the mark, if there is one.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    view = memoryview(bytearray(max(4, min(size or _READ_BYTES, _READ_BYTES))))
-    pos = 0   # the stream position of view[0]
-    kept = 0  # the bytes of a cut character at view[0]
-    mark = 0  # the byte order mark's length
-    while True:
-        got = fh.readinto(view[kept:])
-        end = kept + got
-        try:
-            part, used = codecs.utf_8_decode(view[:end], "strict", not got)
-        except UnicodeDecodeError as exc:
-            if pos == 0 and exc.object.startswith(codecs.BOM_UTF8):
-                mark = len(codecs.BOM_UTF8)
-            reason = _decode_error(exc, pos - mark)
-            raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({reason})") from exc
-        if pos == 0 and part.startswith("\ufeff"):
-            mark, part = len(codecs.BOM_UTF8), part[1:]
-        yield part
-        if not got:
-            return
-        pos += used
-        kept = end - used
-        view[:kept] = view[used:end]
-
-
-def _read_text(path: str) -> str:
-    """The text of the file at path, as open(path, encoding="utf-8-sig")
-    reads it: the slices are appended to one str that grows in place, so
-    the text is held once, beside a buffer of at most _READ_BYTES."""
-    with open(path, "rb", buffering=0) as fh:
-        text = ringdown_mod._append_in_place("", _text_slices(fh, path))
-    if "\r" in text:  # the line ends a text-mode read translates
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
 def cmd_ringdown_fit(args) -> int:
     # the fit flags apply after every --set, so a flag wins in either argv order
     cfg = load_config(args.config, [*args.set, *args.ringdown_set])
-    traces = [ringdown_mod.trace_from_csv(_read_text(path)) for path in args.traces]
+    traces = [ringdown_mod.trace_from_csv(ringdown_mod._read_text(path)) for path in args.traces]
     fit = ringdown_mod.measure_q(traces, **cfg.ringdown, refine=args.refine)
     _write_text(args.out, ringdown_mod.fit_to_json(fit))
     return EXIT_OK

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import codecs
 import functools
+import io
 import json
 import math
 import os
+import re
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -413,7 +415,11 @@ def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
     if times.size < 2:
         raise InsufficientDataError("need at least 2 envelope samples")
     _require_positive("bin_seconds", bin_seconds)
-    dt = float(np.median(np.diff(times)))
+    # the median of the positive steps: pooled records share timestamps,
+    # and their zero steps would pass any bin width
+    steps = np.diff(times)
+    steps = steps[steps > 0.0]
+    dt = float(np.median(steps)) if steps.size else 0.0
     if bin_seconds <= 2.0 * dt:
         raise DomainError(
             f"bin_seconds = {bin_seconds} s must exceed a few envelope samples "
@@ -658,6 +664,67 @@ def _append_in_place(text: str, parts) -> str:
     return text
 
 
+# bytes per read of a trace file: the one buffer its slices are read into
+_READ_BYTES = 1 << 20
+
+
+def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
+    """str(exc) for the same error found shift bytes further into a stream."""
+    start, end = exc.start + shift, exc.end + shift
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
+def _text_slices(fh, path: str):
+    """The text of the binary file fh, as open(path, encoding="utf-8-sig")
+    reads it, in slices decoded from one reused buffer.
+
+    The buffer holds min(file size, _READ_BYTES) bytes, or _READ_BYTES
+    for a pipe, and at least 4: the bytes of a character a slice cut off
+    move to its start, and the next read fills the rest.  A leading byte
+    order mark, which spreadsheets put before the header, is dropped.
+    Line ends are translated by the decoder text mode uses, which keeps
+    a "\\r" that ends a slice for the next.  A decode error is a
+    DomainError whose message gives the positions a decode of the whole
+    stream gives: past the mark, if there is one.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    view = memoryview(bytearray(max(4, min(size or _READ_BYTES, _READ_BYTES))))
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    pos = 0   # the stream position of view[0]
+    kept = 0  # the bytes of a cut character at view[0]
+    mark = 0  # the byte order mark's length
+    while True:
+        got = fh.readinto(view[kept:])
+        end = kept + got
+        try:
+            part, used = codecs.utf_8_decode(view[:end], "strict", not got)
+        except UnicodeDecodeError as exc:
+            if pos == 0 and exc.object.startswith(codecs.BOM_UTF8):
+                mark = len(codecs.BOM_UTF8)
+            reason = _decode_error(exc, pos - mark)
+            raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({reason})") from exc
+        if pos == 0 and part.startswith("\ufeff"):
+            mark, part = len(codecs.BOM_UTF8), part[1:]
+        yield newlines.decode(part, final=not got)
+        if not got:
+            return
+        pos += used
+        kept = end - used
+        view[:kept] = view[used:end]
+
+
+def _read_text(path: str) -> str:
+    """The text of the file at path, as open(path, encoding="utf-8-sig")
+    reads it: the slices are appended to one str that grows in place, so
+    the text is held once, beside a buffer of at most _READ_BYTES."""
+    with open(path, "rb", buffering=0) as fh:
+        return _append_in_place("", _text_slices(fh, path))
+
+
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
 
 
@@ -716,13 +783,16 @@ def trace_from_csv(text: str) -> RingdownTrace:
     numeric fields, fewer than 2 rows, non-finite times or steps, and
     unordered or non-uniform times.
     """
-    text = text.lstrip()
-    newline = text.find("\n")
+    # the header starts at the first character that is not str.isspace(),
+    # which is what \S matches in a str; the search copies no text
+    first = re.search(r"\S", text)
+    start = first.start() if first else len(text)
+    newline = text.find("\n", start)
     # the header ends at the first line end of any kind str.splitlines() knows
-    head = (text[: newline + 1] if newline >= 0 else text).splitlines(keepends=True)
+    head = text[start : newline + 1 if newline >= 0 else None].splitlines(keepends=True)
     if not head or head[0].strip() != TRACE_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_HEADER!r}")
-    pos = len(head[0])
+    pos = start + len(head[0])
     # a row holds at least "a,b" and a line end, so this many rows fit;
     # the pages past the last row are never touched
     size = (len(text) - pos) // 4 + 2

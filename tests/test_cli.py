@@ -719,8 +719,8 @@ def _text_mode_error(path) -> str:
 
 # head and rows, padded to end offset bytes past the read's first buffer
 def _rows_to(head: bytes, offset: int) -> bytes:
-    body = head + b"0,1\n" * ((cli._READ_BYTES + offset - len(head)) // 4)
-    return body + b"#" * (cli._READ_BYTES + offset - len(body))
+    body = head + b"0,1\n" * ((ringdown_mod._READ_BYTES + offset - len(head)) // 4)
+    return body + b"#" * (ringdown_mod._READ_BYTES + offset - len(body))
 
 
 SLICED_ERRORS = {
@@ -781,7 +781,7 @@ def test_sliced_decode_matches_a_whole_stream_decode(data, tmp_path):
     path.write_bytes(data)
     with _Trickle(path) as fh:
         try:
-            text = "".join(cli._text_slices(fh, str(path)))
+            text = "".join(ringdown_mod._text_slices(fh, str(path)))
         except DomainError as exc:
             text, error = None, str(exc)
     try:
@@ -791,6 +791,17 @@ def test_sliced_decode_matches_a_whole_stream_decode(data, tmp_path):
         assert error == f"malformed trace CSV {path}: not UTF-8 text ({exc})"
     else:
         assert text == expected
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_sliced_decode_translates_line_ends_the_slices_cut(end, tmp_path):
+    # 2-byte reads end slices between "\r" and "\n", and on the last "\r"
+    path = tmp_path / "trickle.csv"
+    text = "\ufefftime_s,value\n0,1\n1,2\n\u20ac\n2,3\n"
+    path.write_bytes(text.replace("\n", end).encode())
+    with _Trickle(path) as fh:
+        slices = list(ringdown_mod._text_slices(fh, str(path)))
+    assert "".join(slices) == text[1:]
 
 
 SURVEY = (
@@ -910,3 +921,33 @@ def test_extreme_calls_exit_cleanly_under_warnings_as_errors(case, extreme_trace
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1
     assert (proc.returncode, proc.stderr[: len(message)]) == (code, message)
+
+
+def _fit_under_warnings_as_errors(path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pendq.cli", "ringdown", "fit", str(path)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def fixture_fit_stdout():
+    proc = _fit_under_warnings_as_errors(FIXTURE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
+
+
+# line end and prefix of each layout the trace reader accepts
+FIXTURE_LAYOUTS = {"CRLF": ("\r\n", ""), "CR": ("\r", ""), "mark": ("\n", "\ufeff"),
+                   "leading-blank-line": ("\n", "\n")}
+
+
+@pytest.mark.parametrize("layout", FIXTURE_LAYOUTS)
+def test_trace_layouts_fit_alike_under_warnings_as_errors(layout, fixture_fit_stdout,
+                                                          tmp_path):
+    end, prefix = FIXTURE_LAYOUTS[layout]
+    path = tmp_path / "layout.csv"
+    path.write_bytes((prefix + FIXTURE.read_text().replace("\n", end)).encode())
+    proc = _fit_under_warnings_as_errors(path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == fixture_fit_stdout

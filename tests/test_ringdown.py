@@ -149,6 +149,19 @@ def test_bin_average_validation():
         rd.bin_average(np.arange(10.0), np.ones(10), 1.5)  # bin <= 2 dt
 
 
+def test_pooled_records_keep_the_bin_width_guard():
+    # pooled records share timestamps, whose zero steps must not pass the guard
+    traces = [rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=seed)
+              for seed in (1, 2)]
+    message = r"bin_seconds = 0.6 s must exceed a few envelope samples \(sample step 1.8 s\)"
+    for records in (traces[:1], traces):
+        with pytest.raises(DomainError, match=message):
+            rd.measure_q(records, 2.2, 0.5, 0.6)
+    fit = rd.measure_q(traces, 2.2, 0.5, 20.0)
+    assert fit.n_bins == 10
+    assert math.isclose(fit.q, 2034.9939056215387, rel_tol=1e-7)
+
+
 def test_bin_average_refuses_squares_past_the_float_range():
     amplitudes = np.tile([1e160, -1e160], 10)
     with pytest.raises(DomainError, match="standard errors must be finite"):

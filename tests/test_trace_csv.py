@@ -8,6 +8,7 @@ exactly, bytes out and bits in.
 import contextlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,22 @@ def test_parsed_samples_own_no_oversized_buffer(monkeypatch, slice_chars):
     samples = rd.trace_from_csv(text).samples
     assert samples.base is None and samples.flags.owndata
     assert samples.nbytes == 8 * (len(text.strip().splitlines()) - 1)
+
+
+def test_leading_whitespace_costs_no_copy_of_the_text(monkeypatch):
+    # the slices parse inline, so both parses allocate alike
+    monkeypatch.setattr(rd, "_WORKERS", 1)
+    text = rd.trace_to_csv(rd.synthesize_ringdown(2.2, 2000.0, 50.0, 4000.0, noise_rms=0.4))
+    samples, peaks = [], []
+    for case in (text, "\n" + text):
+        tracemalloc.start()
+        try:
+            samples.append(rd.trace_from_csv(case).samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(*samples)
+    assert peaks[1] - peaks[0] < 0.1 * len(text)
 
 
 def test_trace_to_csv_fills_its_bound_with_the_widest_rows():

@@ -1,10 +1,13 @@
 """A day-long record's CSV text is held once by the writer and the reader.
 
-Each step runs in a fresh interpreter, so the rise of its ru_maxrss
-over the value just before the step is the step's own peak.  A step
-that holds the text twice (a byte buffer and its decoded str, or parts
-and their join) rises by about twice the text, and so does an append
-that copies the text each time; the bound is 1.4 times the text.
+Each step runs in a fresh interpreter, so the rise of its peak RSS
+over the value just before the step is the step's own peak.  The peak
+is VmHWM, which exec starts afresh; ru_maxrss would keep the peak of
+the process that started the interpreter, and so hide any step whose
+peak stays below the test runner's.  A step that holds the text twice
+(a byte buffer and its decoded str, or parts and their join) rises by
+about twice the text, and so does an append that copies the text each
+time; the bound is 1.4 times the text.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import sys
 
 import pytest
 
-from pendq import cli, ringdown
+from pendq import ringdown
 
 ROWS = 1 << 20  # about 31 MB of text
 GROWTH_LIMIT = 1.4
@@ -22,12 +25,13 @@ GROWTH_LIMIT = 1.4
 # the writer keeps a few formatted chunks in flight per worker thread, so
 # the child runs on two CPUs at most, whatever the machine has
 PROBE = """
-import json, os, resource, sys
+import json, os, sys
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
-from pendq import cli, ringdown
+from pendq import ringdown
 
 def peak():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) * 1024
 
 step, path = sys.argv[1:]
 if step == "write":
@@ -39,7 +43,7 @@ if step == "write":
         fh.write(text)
 else:
     before = peak()
-    text = cli._read_text(path)
+    text = ringdown._read_text(path)
     growth = peak() - before
 print(json.dumps({{"growth": growth, "chars": len(text)}}))
 """.format(rows=ROWS)
@@ -66,38 +70,43 @@ def test_trace_to_csv_holds_the_text_once(written):
     assert result["growth"] < GROWTH_LIMIT * result["chars"]
 
 
-def test_read_holds_the_text_once(written):
-    path, _ = written
-    result = _probe("read", path)
-    assert result["chars"] == path.stat().st_size
-    assert result["growth"] < GROWTH_LIMIT * result["chars"]
-
-
 def _record(end: str, mark: str) -> str:
     # a trace after a line of 2-, 3- and 4-byte characters longer than
     # the read's buffer, so slices end inside the line
     trace = ringdown.synthesize_ringdown(2.2, 2000.0, 50.0, 2400.0, noise_rms=0.4, seed=3)
-    wide = "\u00e9\u20ac\U0001f600" * (cli._READ_BYTES // 6)
+    wide = "\u00e9\u20ac\U0001f600" * (ringdown._READ_BYTES // 6)
     return mark + (wide + "\n" + ringdown.trace_to_csv(trace)).replace("\n", end)
 
 
-LAYOUTS = {"LF": ("\n", ""), "CRLF": ("\r\n", ""), "mark": ("\n", "\ufeff"),
-           "mark-CRLF": ("\r\n", "\ufeff")}
+# line end and leading mark of each layout the reader accepts
+LAYOUTS = {"LF": ("\n", ""), "CRLF": ("\r\n", ""), "CR": ("\r", ""),
+           "mark": ("\n", "\ufeff"), "mark-CRLF": ("\r\n", "\ufeff")}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_read_holds_the_text_once(layout, written, tmp_path):
+    lf, _ = written
+    end, mark = LAYOUTS[layout]
+    path = tmp_path / "record.csv"
+    path.write_bytes((mark + lf.read_text(encoding="ascii").replace("\n", end)).encode())
+    result = _probe("read", path)
+    assert result["chars"] == lf.stat().st_size
+    assert result["growth"] < GROWTH_LIMIT * result["chars"]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_sliced_read_is_a_text_mode_read(layout, tmp_path):
     path = tmp_path / "record.csv"
     path.write_bytes(_record(*LAYOUTS[layout]).encode("utf-8"))
-    assert path.stat().st_size > 3 * cli._READ_BYTES
+    assert path.stat().st_size > 3 * ringdown._READ_BYTES
     with open(path, encoding="utf-8-sig") as fh:
         expected = fh.read()
-    assert cli._read_text(str(path)) == expected
+    assert ringdown._read_text(str(path)) == expected
     # a pipe delivers the same bytes in other slices
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import hashlib, sys; from pendq import cli; "
-         "print(hashlib.sha256(cli._read_text('/dev/stdin').encode()).hexdigest())"],
+         "import hashlib, sys; from pendq import ringdown; "
+         "print(hashlib.sha256(ringdown._read_text('/dev/stdin').encode()).hexdigest())"],
         input=path.read_bytes(), capture_output=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
