@@ -256,7 +256,32 @@ class RequirementReport:
     eq2_edge_hz: float
     sub_sql_band_hz: tuple[tuple[float, float], ...]
     band_overlap_hz: tuple[tuple[float, float], ...]
-    passed: bool
+
+    @property
+    def in_band(self) -> bool:
+        return self.effective.omega_eff_hz >= self.eq2_edge_hz
+
+    @property
+    def passed(self) -> bool:
+        return self.eq1.passed and self.in_band
+
+    def lines(self) -> list[str]:
+        """The report as text, one line per quantity and verdict."""
+        eff, eq1 = self.effective, self.eq1
+        verdict = {True: "pass", False: "FAIL"}
+        return [
+            f"pendulum:    f_m = {eff.omega_m / (2 * math.pi):.4g} Hz, Q_m = {eff.q_m:.3g}",
+            f"effective:   f_eff = {eff.omega_eff_hz:.4g} Hz, Q_eff = {eff.q_eff:.3g}, "
+            f"k_opt/k_g = {eff.spring_ratio:.3g}"
+            + (", anti-damped spring" if eff.anti_damped else ""),
+            f"Qf product:  Q_eff*w_eff = {eq1.lhs:.4g} rad/s vs k_B*T/hbar = "
+            f"{eq1.rhs:.4g} rad/s -> {verdict[eq1.passed]}, margin {eq1.margin:.4g}",
+            f"rate band:   requirement met above {self.eq2_edge_hz:.4g} Hz; "
+            f"f_eff {'inside' if self.in_band else 'below'} -> {verdict[self.in_band]}",
+            "sub-SQL:     " + _format_bands(self.sub_sql_band_hz),
+            "overlap:     " + _format_bands(self.band_overlap_hz),
+            f"overall:     {verdict[self.passed]}",
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -267,6 +292,12 @@ class RequirementReport:
             "band_overlap_hz": [list(b) for b in self.band_overlap_hz],
             "passed": self.passed,
         }
+
+
+def _format_bands(bands) -> str:
+    if not bands:
+        return "none"
+    return "; ".join(f"{lo:.4g} - {hi:.4g} Hz" for lo, hi in bands)
 
 
 def effective_requirements(
@@ -291,12 +322,10 @@ def effective_requirements(
     overlap = tuple(
         (max(lo, edge_hz), hi) for lo, hi in sub_sql if hi > max(lo, edge_hz)
     )
-    passed = eq1.passed and eff.omega_eff_hz >= edge_hz
     return RequirementReport(
         effective=eff,
         eq1=eq1,
         eq2_edge_hz=edge_hz,
         sub_sql_band_hz=tuple(tuple(b) for b in sub_sql),
         band_overlap_hz=overlap,
-        passed=passed,
     )

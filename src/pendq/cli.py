@@ -160,35 +160,9 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config, args.set)
     band = budget_mod.thermal_sub_sql_band(cfg.model, cfg.grid())
     report = effective_requirements(cfg.model, cfg.cavity, band)
-    eff = report.effective
-    print(f"pendulum:    f_m = {eff.omega_m / (2 * math.pi):.4g} Hz, Q_m = {eff.q_m:.3g}")
-    print(
-        f"effective:   f_eff = {eff.omega_eff_hz:.4g} Hz, Q_eff = {eff.q_eff:.3g}, "
-        f"k_opt/k_g = {eff.spring_ratio:.3g}"
-        + (", anti-damped spring" if eff.anti_damped else "")
-    )
-    verdict1 = "pass" if report.eq1.passed else "FAIL"
-    print(
-        f"Qf product:  Q_eff*w_eff = {report.eq1.lhs:.4g} rad/s vs k_B*T/hbar = "
-        f"{report.eq1.rhs:.4g} rad/s -> {verdict1}, margin {report.eq1.margin:.4g}"
-    )
-    in_band = eff.omega_eff_hz >= report.eq2_edge_hz
-    verdict2 = "pass" if in_band else "FAIL"
-    print(
-        f"rate band:   requirement met above {report.eq2_edge_hz:.4g} Hz; "
-        f"f_eff {'inside' if in_band else 'below'} -> {verdict2}"
-    )
-    print("sub-SQL:     " + _format_bands(report.sub_sql_band_hz))
-    print("overlap:     " + _format_bands(report.band_overlap_hz))
-    print(f"overall:     {'pass' if report.passed else 'FAIL'}")
+    print("\n".join(report.lines()))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_REQUIREMENT_FAILED
-
-
-def _format_bands(bands) -> str:
-    if not bands:
-        return "none"
-    return "; ".join(f"{lo:.4g} - {hi:.4g} Hz" for lo, hi in bands)
 
 
 # ---------------------------------------------------------------------------

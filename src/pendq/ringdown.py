@@ -683,38 +683,32 @@ def _text_slices(fh, path: str):
     reads it, in slices decoded from one reused buffer.
 
     The buffer holds min(file size, _READ_BYTES) bytes, or _READ_BYTES
-    for a pipe, and at least 4: the bytes of a character a slice cut off
-    move to its start, and the next read fills the rest.  A leading byte
-    order mark, which spreadsheets put before the header, is dropped.
-    Line ends are translated by the decoder text mode uses, which keeps
-    a "\\r" that ends a slice for the next.  A decode error is a
+    for a pipe.  Each slice goes through the decoder chain text mode
+    builds: it drops a leading byte order mark, which spreadsheets put
+    before the header, carries a character or a "\\r" that ends a slice
+    over to the next, and translates line ends.  A decode error is a
     DomainError whose message gives the positions a decode of the whole
     stream gives: past the mark, if there is one.
     """
     size = os.fstat(fh.fileno()).st_size
-    view = memoryview(bytearray(max(4, min(size or _READ_BYTES, _READ_BYTES))))
-    newlines = io.IncrementalNewlineDecoder(None, translate=True)
-    pos = 0   # the stream position of view[0]
-    kept = 0  # the bytes of a cut character at view[0]
-    mark = 0  # the byte order mark's length
+    view = memoryview(bytearray(min(size or _READ_BYTES, _READ_BYTES)))
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), True)
+    read, head = 0, b""  # the bytes read, and the first three of them
     while True:
-        got = fh.readinto(view[kept:])
-        end = kept + got
+        got = fh.readinto(view)
+        read += got
+        head += view[: min(got, 3 - len(head))]
         try:
-            part, used = codecs.utf_8_decode(view[:end], "strict", not got)
+            part = decoder.decode(view[:got], not got)
+            if not got and read < 3:  # the chain drops a cut mark that a whole decode rejects
+                codecs.decode(head, "utf-8-sig")
         except UnicodeDecodeError as exc:
-            if pos == 0 and exc.object.startswith(codecs.BOM_UTF8):
-                mark = len(codecs.BOM_UTF8)
-            reason = _decode_error(exc, pos - mark)
+            mark = len(codecs.BOM_UTF8) if head == codecs.BOM_UTF8 else 0
+            reason = _decode_error(exc, read - len(exc.object) - mark)
             raise DomainError(f"malformed trace CSV {path}: not UTF-8 text ({reason})") from exc
-        if pos == 0 and part.startswith("\ufeff"):
-            mark, part = len(codecs.BOM_UTF8), part[1:]
-        yield newlines.decode(part, final=not got)
+        yield part
         if not got:
             return
-        pos += used
-        kept = end - used
-        view[:kept] = view[used:end]
 
 
 def _read_text(path: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 
 import numpy as np
 
@@ -211,7 +212,7 @@ def render_loglog(
         out.append(_star_path(px(star.x), py(star.y), 9.0, "#d55e00"))
         out.append(
             f'<text x="{_fmt(px(star.x) + 12)}" y="{_fmt(py(star.y) + 4)}" '
-            f'fill="#d55e00">{_escape(star.label)}</text>'
+            f'fill="#d55e00">{escape(star.label, quote=False)}</text>'
         )
     # legend
     if cleaned:
@@ -227,19 +228,19 @@ def render_loglog(
                 f'<line x1="{lx}" y1="{yy}" x2="{lx + 26}" y2="{yy}" '
                 f'stroke="{color}" stroke-width="2.5"/>'
             )
-            out.append(f'<text x="{lx + 32}" y="{yy + 4}">{_escape(c.label)}</text>')
+            out.append(f'<text x="{lx + 32}" y="{yy + 4}">{escape(c.label, quote=False)}</text>')
     # labels
     out.append(
         f'<text x="{ml + pw / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
-        f"{_escape(title)}</text>"
+        f"{escape(title, quote=False)}</text>"
     )
     out.append(
         f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle">'
-        f"{_escape(xlabel)}</text>"
+        f"{escape(xlabel, quote=False)}</text>"
     )
     out.append(
         f'<text x="20" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {mt + ph / 2:.1f})">{escape(ylabel, quote=False)}</text>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -252,9 +253,3 @@ def _star_path(cx: float, cy: float, r: float, color: str) -> str:
         angle = -math.pi / 2 + k * math.pi / 5
         pts.append(f"{_fmt(cx + radius * math.cos(angle))},{_fmt(cy + radius * math.sin(angle))}")
     return f'<polygon points="{" ".join(pts)}" fill="{color}" stroke="#7a3300" stroke-width="1"/>'
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

@@ -310,6 +310,18 @@ def test_effective_requirements_fails_without_trap():
     assert report.effective.omega_eff_hz < report.eq2_edge_hz
 
 
+def test_report_rate_band_includes_its_edge():
+    report = cav.effective_requirements(MODEL, CAVITY, sub_sql=[])
+    at_edge = replace(report, eq2_edge_hz=report.effective.omega_eff_hz)
+    above = replace(at_edge, eq2_edge_hz=math.nextafter(at_edge.eq2_edge_hz, math.inf))
+    assert at_edge.in_band and not above.in_band
+    failing_eq1 = replace(at_edge, eq1=replace(report.eq1, passed=False))
+    for r in (report, at_edge, above, failing_eq1):
+        assert r.passed == (r.eq1.passed and r.in_band)
+        assert r.to_dict()["passed"] is r.passed
+    assert at_edge.passed and not above.passed and not failing_eq1.passed
+
+
 def test_report_serializes_to_json():
     report = cav.effective_requirements(MODEL, CAVITY, sub_sql=[(500.0, 800.0)])
     payload = json.loads(json.dumps(report.to_dict()))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from pendq import budget, cli
+from pendq.cavity import effective_requirements
 from pendq import ringdown as ringdown_mod
 from pendq.config import PAPER_PRESET, load_config, paper_preset
 from pendq.core import DomainError
@@ -161,6 +163,71 @@ def test_check_fails_without_trap(capsys):
     assert "overall:     FAIL" in out
     payload = json.loads(out[out.index("{"):])
     assert payload["passed"] is False
+
+
+def _reference_check_lines(report) -> list[str]:
+    # the text check printed when it formatted each report field itself
+    out = []
+    eff = report.effective
+    out.append(f"pendulum:    f_m = {eff.omega_m / (2 * math.pi):.4g} Hz, Q_m = {eff.q_m:.3g}")
+    out.append(
+        f"effective:   f_eff = {eff.omega_eff_hz:.4g} Hz, Q_eff = {eff.q_eff:.3g}, "
+        f"k_opt/k_g = {eff.spring_ratio:.3g}"
+        + (", anti-damped spring" if eff.anti_damped else "")
+    )
+    verdict1 = "pass" if report.eq1.passed else "FAIL"
+    out.append(
+        f"Qf product:  Q_eff*w_eff = {report.eq1.lhs:.4g} rad/s vs k_B*T/hbar = "
+        f"{report.eq1.rhs:.4g} rad/s -> {verdict1}, margin {report.eq1.margin:.4g}"
+    )
+    in_band = eff.omega_eff_hz >= report.eq2_edge_hz
+    verdict2 = "pass" if in_band else "FAIL"
+    out.append(
+        f"rate band:   requirement met above {report.eq2_edge_hz:.4g} Hz; "
+        f"f_eff {'inside' if in_band else 'below'} -> {verdict2}"
+    )
+    out.append("sub-SQL:     " + _reference_bands(report.sub_sql_band_hz))
+    out.append("overlap:     " + _reference_bands(report.band_overlap_hz))
+    out.append(f"overall:     {'pass' if report.passed else 'FAIL'}")
+    return out
+
+
+def _reference_bands(bands) -> str:
+    if not bands:
+        return "none"
+    return "; ".join(f"{lo:.4g} - {hi:.4g} Hz" for lo, hi in bands)
+
+
+def _seeded_check_overrides(seed: int) -> list[str]:
+    rng = random.Random(seed)
+    power = 0.0 if seed % 8 == 0 else 10 ** rng.uniform(-4.0, math.log10(0.5))
+    overrides = [
+        f"cavity.trap_power={power!r}",
+        f"environment.temperature={rng.uniform(4.0, 300.0)!r}",
+        f"grid.points={rng.randint(500, 8000)}",
+    ]
+    if rng.random() < 0.5:
+        overrides.append("material.measured_q=null")
+    return overrides
+
+
+def test_check_text_matches_the_reference_formatter(capsys):
+    eq1_verdicts, band_verdicts = set(), set()
+    for seed in range(40):
+        overrides = _seeded_check_overrides(seed)
+        config = load_config(None, overrides)
+        band = budget.thermal_sub_sql_band(config.model, config.grid())
+        report = effective_requirements(config.model, config.cavity, band)
+        assert report.passed == (report.eq1.passed and report.in_band)
+        rc = cli.main(["check", *(arg for o in overrides for arg in ("--set", o))])
+        assert rc == (0 if report.passed else 1)
+        expected = "\n".join(_reference_check_lines(report)) + "\n"
+        expected += json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+        eq1_verdicts.add(report.eq1.passed)
+        band_verdicts.add(report.in_band)
+    # the seeds pass and fail each requirement
+    assert eq1_verdicts == band_verdicts == {True, False}
 
 
 def test_check_set_errors(capsys):
@@ -923,10 +990,10 @@ def test_extreme_calls_exit_cleanly_under_warnings_as_errors(case, extreme_trace
     assert (proc.returncode, proc.stderr[: len(message)]) == (code, message)
 
 
-def _fit_under_warnings_as_errors(path) -> subprocess.CompletedProcess:
+def _fit_under_warnings_as_errors(path, data=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "pendq.cli", "ringdown", "fit", str(path)],
-        capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
+        input=data, capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
     )
 
 
@@ -949,5 +1016,13 @@ def test_trace_layouts_fit_alike_under_warnings_as_errors(layout, fixture_fit_st
     path = tmp_path / "layout.csv"
     path.write_bytes((prefix + FIXTURE.read_text().replace("\n", end)).encode())
     proc = _fit_under_warnings_as_errors(path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == fixture_fit_stdout
+
+
+def test_piped_trace_fits_alike_under_warnings_as_errors(fixture_fit_stdout):
+    # a spreadsheet's copy, with a byte order mark and CRLF line ends, on a pipe
+    data = ("\ufeff" + FIXTURE.read_text().replace("\n", "\r\n")).encode()
+    proc = _fit_under_warnings_as_errors("/dev/stdin", data)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == fixture_fit_stdout
