@@ -58,9 +58,9 @@ MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
 # is allocated: `pendq ringdown synth` peaks at about 40 bytes per sample
-# and `ringdown fit` of its CSV at about 51 (275 and 325 MB for a 24 h
+# and `ringdown fit` of its CSV at about 43 (275 and 288 MB for a 24 h
 # 50 Hz record of 4.32 M samples, 105 MB of it the interpreter and
-# imports), so this caps them near 1.7 and 2.1 GB and admits a 7-day
+# imports), so this caps them near 1.7 and 1.8 GB and admits a 7-day
 # 50 Hz record (30.24 M samples)
 MAX_SYNTH_SAMPLES = 40_000_000
 
@@ -301,6 +301,9 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
     lo = max(int(np.searchsorted(freqs, f_center - bandwidth / 2.0 - edge)) - 2, 0)
     hi = int(np.searchsorted(freqs, f_center + bandwidth / 2.0 + edge, side="right")) + 2
     df = np.abs(freqs[lo:hi] - f_center)
+    # the band's bins are all the spectrum below needs: freeing the
+    # half-record of frequencies keeps it out from under the FFT's peak
+    del freqs
     gain = np.zeros_like(df)
     inside = df <= bandwidth / 2.0
     gain[inside] = 1.0
@@ -622,9 +625,13 @@ TRACE_HEADER = "time_s,value"
 # enough that numpy's per-call overhead vanishes, small enough that the
 # temporaries stay a few MB on day-long records.  At 1 << 16 rows the
 # allocator maps and unmaps a chunk's temporaries afresh, and a 24 h
-# record's CSV took twice the page faults of the text itself
+# record's CSV took twice the page faults of the text itself.  The
+# temporaries of the slices in flight stay resident after the parse,
+# under the bandpass FFT that sets a fit's peak: at 1 << 20 characters
+# 13 MB more of them did on a 24 h record (RSS 292 against 279 MB after
+# the parse, text included)
 _CSV_CHUNK_ROWS = 1 << 15
-_CSV_SLICE_CHARS = 1 << 20
+_CSV_SLICE_CHARS = 1 << 19
 
 
 def trace_to_csv(trace: RingdownTrace) -> str:
@@ -721,6 +728,19 @@ def _read_text(path: str) -> str:
 
 _FIELD_COUNT_ERROR = "trace CSV rows need 2 fields (time_s,value), got {}"
 
+# the end of a line of a parsing slice: "\n", "\r\n" or a lone "\r"
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
+def _step_counts(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct steps of a run of times and their counts, all that
+    trace_from_csv checks of them beside their ends; None if a time is
+    not finite.  It calls no public function, so it may run on the pool."""
+    if not np.isfinite(times).all():
+        return None
+    with np.errstate(over="ignore"):  # a step past the float range is inf
+        return np.unique(np.diff(times), return_counts=True)
+
 
 def _parse_rows(text: str) -> np.ndarray:
     """(rows, 2) floats of a run of whole CSV lines; blank lines skip.
@@ -763,15 +783,17 @@ def trace_from_csv(text: str) -> RingdownTrace:
     Whitespace before the header and after the last row and blank lines
     are skipped, and every line end str.splitlines() knows ends a row.
     The body is read in slices of about _CSV_SLICE_CHARS characters,
-    cut after a newline, into preallocated time and sample arrays.  A
-    slice of the rows trace_to_csv writes takes the exact vectorised
-    reader _csv_float_pairs, on a thread pool; any other slice takes
-    _parse_rows, on the calling thread, in file order.  Either way
-    every value is bit-identical to float() of its field, and the
-    accepted syntax and the errors are those of the per-line parse.
-    The step checks write the steps over the times and take their
-    median in place, so beside the caller's text the parse holds the
-    two arrays and no other row-sized one.
+    cut after a "\\n", "\\r\\n" or lone "\\r", into a preallocated sample
+    array.  A slice of the rows trace_to_csv writes takes the exact
+    vectorised reader _csv_float_pairs, on a thread pool; any other
+    slice takes _parse_rows, on the calling thread, in file order.
+    Either way every value is bit-identical to float() of its field, and
+    the accepted syntax and the errors are those of the per-line parse.
+    No time column is kept: each slice's times shrink to the counts of
+    their distinct steps (see _step_counts), on the pool for the rows
+    _csv_float_pairs reads, and the checks run on the merged counts and
+    the steps between slices.  So beside the caller's text the parse
+    holds the sample array and no other row-sized one.
 
     Raises DomainError for a missing header, a row without exactly 2
     numeric fields, fewer than 2 rows, non-finite times or steps, and
@@ -781,16 +803,16 @@ def trace_from_csv(text: str) -> RingdownTrace:
     # which is what \S matches in a str; the search copies no text
     first = re.search(r"\S", text)
     start = first.start() if first else len(text)
-    newline = text.find("\n", start)
-    # the header ends at the first line end of any kind str.splitlines() knows
-    head = text[start : newline + 1 if newline >= 0 else None].splitlines(keepends=True)
+    # the header ends at the first line end of any kind str.splitlines()
+    # knows, which is no later than the first "\n", "\r\n" or "\r"
+    newline = _LINE_END.search(text, start)
+    head = text[start : newline.end() if newline else None].splitlines(keepends=True)
     if not head or head[0].strip() != TRACE_HEADER:
         raise DomainError(f"trace CSV must start with header {TRACE_HEADER!r}")
     pos = start + len(head[0])
     # a row holds at least "a,b" and a line end, so this many rows fit;
     # the pages past the last row are never touched
-    size = (len(text) - pos) // 4 + 2
-    times, samples = np.empty(size), np.empty(size)
+    samples = np.empty((len(text) - pos) // 4 + 2)
     filled = 0
     # the last slice holds the last non-whitespace character and runs to
     # the end; the whitespace after it is no part of the last row
@@ -800,39 +822,55 @@ def trace_from_csv(text: str) -> RingdownTrace:
 
     def cut(pos: int):
         while pos < stop:
-            end = text.find("\n", pos + _CSV_SLICE_CHARS, stop)
-            end = len(text) if end < 0 else end + 1
+            end = _LINE_END.search(text, pos + _CSV_SLICE_CHARS, stop)
+            end = end.end() if end else len(text)
             yield text[pos:end]
             pos = end
 
-    for part, columns in _in_order(lambda part: (part, _csv_float_pairs(part)), cut(pos)):
+    def parse(part: str):
+        columns = _csv_float_pairs(part)
+        return part, columns, None if columns is None else _step_counts(columns[0])
+
+    # the distinct steps of each slice with their counts, and the step
+    # between each two slices with a count of 1
+    finite, counted = True, []
+    for part, columns, summary in _in_order(parse, cut(pos)):
         pos += len(part)
         if columns is None:
             columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
-        rows = len(columns[0])
-        times[filled : filled + rows], samples[filled : filled + rows] = columns
-        filled += rows
+            summary = _step_counts(columns[0])
+        times, values = columns
+        if not values.size:
+            continue
+        if summary is None:
+            finite = False
+        else:
+            counted.append(summary)
+        # Python floats: a step past the float range is inf without a warning
+        if filled:
+            counted.append(([float(times[0]) - last], [1]))
+        else:
+            start_time = float(times[0])
+        last = float(times[-1])
+        samples[filled : filled + values.size] = values
+        filled += values.size
     if filled < 2:
         raise DomainError("trace CSV needs >= 2 rows of time_s,value")
-    if not np.all(np.isfinite(times[:filled])):
+    if not finite:
         raise DomainError("trace times must be finite")
-    start_time = float(times[0])
-    # the steps overwrite the times, chunk by chunk from the front, so no
-    # row-sized array is allocated beside them: a chunk reads the first
-    # time of the next one before that chunk is overwritten
-    dt = times[: filled - 1]
-    with np.errstate(over="ignore"):  # a step past the float range is inf
-        for lo in range(0, dt.size, _CHUNK_SAMPLES):
-            hi = min(lo + _CHUNK_SAMPLES, dt.size)
-            np.subtract(times[lo + 1 : hi + 1], times[lo:hi], out=dt[lo:hi])
-    if np.any(dt <= 0.0):
+    steps, counts = (np.concatenate(column) for column in zip(*counted))
+    steps, where = np.unique(steps, return_inverse=True)
+    if steps[0] <= 0.0:
         raise DomainError("trace times must be strictly increasing")
-    # the median reorders dt in place; the check below takes every step alike
-    step = float(np.median(dt, overwrite_input=True))
+    # np.median of the filled - 1 steps, bit for bit: the middle one, or
+    # the mean of the middle two, which is inf past the float range
+    ranks = np.cumsum(np.bincount(where, counts))
+    middle = np.searchsorted(ranks, [(filled - 2) // 2, (filled - 1) // 2], side="right")
+    below, above = steps[middle].tolist()
+    step = above if filled % 2 == 0 else (below + above) / 2
     if step == math.inf:
         raise DomainError("trace time steps must be finite, got inf")
-    dt -= step
-    if np.any(np.abs(dt, out=dt) > 1e-6 * step):
+    if np.any(np.abs(steps - step) > 1e-6 * step):
         raise DomainError("trace times must be uniformly sampled")
     # hands the unfilled tail back, so the samples own no more than they hold
     samples.resize(filled, refcheck=False)

@@ -926,8 +926,8 @@ def test_overflowing_grid_overrides_exit_4_without_warnings(argv):
 
 # extreme but schema-valid calls: each exits cleanly with at most one
 # stderr line under -W error, where a numpy warning would be a traceback
-# (exit 1) and read as a failed requirement.  {big}, {huge} and {wide}
-# are trace files written by the fixture below
+# (exit 1) and read as a failed requirement.  {big}, {huge}, {wide} and
+# {steep} are trace files written by the fixture below
 NO_MEASURED_Q = ["--set", "material.measured_q=null", "--set"]
 SWEEP_RADIUS = ["sweep", "--param", "fiber.radius", "--from", "2e-7", "--to", "2e-6",
                 "--steps", "3", "--metric", "sub_sql_lo", "--out", "-"]
@@ -945,6 +945,9 @@ EXTREME_CALLS = {
     "amplitude-1e308": (["ringdown", "fit", "{huge}"], 0, ""),
     "times-1e308": (["ringdown", "fit", "{wide}"], 4,
                     "analysis error: trace time steps must be finite, got inf"),
+    # two finite steps whose mean, the median step, is past the float range
+    "median-step-1.7e308": (["ringdown", "fit", "{steep}"], 4,
+                            "analysis error: trace time steps must be finite, got inf"),
     "radius": (["check", "--set", "fiber.radius=1e-300"], 4,
                "analysis error: ZeroDivisionError"),
     "mass": (["check", "--set", "test_mass.mass=1e300"], 4, "analysis error: OverflowError"),
@@ -965,12 +968,14 @@ EXTREME_CALLS = {
 @pytest.fixture(scope="module")
 def extreme_traces(tmp_path_factory):
     root = tmp_path_factory.mktemp("extreme")
-    paths = {"big": root / "big.csv", "huge": root / "huge.csv", "wide": root / "wide.csv"}
+    paths = {"big": root / "big.csv", "huge": root / "huge.csv", "wide": root / "wide.csv",
+             "steep": root / "steep.csv"}
     for name, amplitude in (("big", 1e160), ("huge", 1e308)):
         trace = ringdown_mod.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, amplitude=amplitude,
                                                  noise_rms=0.4, seed=1)
         paths[name].write_text(ringdown_mod.trace_to_csv(trace))
     paths["wide"].write_text("time_s,value\n-1e308,1\n1e308,2\n")
+    paths["steep"].write_text("time_s,value\n-1.7e308,1\n0,2\n1.7e308,3\n")
     return {name: str(path) for name, path in paths.items()}
 
 

@@ -181,7 +181,7 @@ def test_trace_to_csv_matches_per_row_reference(monkeypatch, chunk_rows):
 # parser
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("slice_chars", [1 << 20, rd._CSV_SLICE_CHARS, 1000, 1])
 def test_fixture_parses_bit_identically(monkeypatch, slice_chars):
     monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
     text = FIXTURE.read_text()
@@ -370,7 +370,7 @@ def test_csv_float_pairs_take_only_canonical_rows(pairs, where, edit, char):
         assert [column.tobytes() for column in columns] == _float_columns(text)
 
 
-@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("slice_chars", [1 << 20, rd._CSV_SLICE_CHARS, 1000, 1])
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(_FINITE, min_size=2, max_size=120),
@@ -398,7 +398,7 @@ def _grouped(line):
     return f"{time},{value[:cut]}_{value[cut:]}"
 
 
-@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("slice_chars", [1 << 20, rd._CSV_SLICE_CHARS, 1000, 1])
 @pytest.mark.parametrize("splice", [_crlf, _spaced, _grouped])
 def test_spliced_row_matches_reference(slice_chars, splice):
     trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 30.0, noise_rms=0.4, seed=5)
@@ -431,6 +431,80 @@ def test_writer_output_never_reaches_loadtxt(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the step checks: counts of distinct steps, no time column
+# ---------------------------------------------------------------------------
+
+# times and steps of whole multiples of 2^-26 s are exact floats, and so
+# is the mean of two steps one unit apart
+_UNIT = 2.0**-26
+_NEAR, _NEXT = 1 << 20, (1 << 20) + 1  # 9.5e-7 apart: uniform
+
+
+def _unit_steps(steps) -> str:
+    """A trace whose steps are the given whole numbers of _UNIT, in an
+    order that puts every kind of step across slice edges; times in repr."""
+    steps = np.random.default_rng(7).permutation(steps)
+    times = ((3 << 20) + np.concatenate(([0.0], np.cumsum(steps)))) * _UNIT
+    return rd.TRACE_HEADER + "\n" + "".join(f"{t!r},{k % 7}\n" for k, t in enumerate(times.tolist()))
+
+
+def _jittered() -> str:
+    """A 50 Hz trace whose repr times jitter by up to 2 ns: a few
+    thousand distinct steps."""
+    rng = np.random.default_rng(11)
+    times = 1000.0 + np.arange(4000) / 50.0 + rng.uniform(-2e-9, 2e-9, 4000)
+    rows = zip(times.tolist(), rng.normal(size=4000).tolist())
+    return rd.TRACE_HEADER + "\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows)
+
+
+_STEP_TEXTS = {
+    # an even count of steps: np.median takes the mean of the two middle ones
+    "even": lambda: _unit_steps([_NEAR] * 60 + [_NEXT] * 60),
+    # an odd count: the middle step, whose neighbour below differs
+    "odd": lambda: _unit_steps([_NEAR] * 60 + [_NEXT] * 61),
+    # one step 1e-6 relative off the rest: inside, on and outside the bound
+    "inside": lambda: _unit_steps([10**7] * 120 + [10**7 + 9]),
+    "edge": lambda: _unit_steps([10**7] * 120 + [10**7 + 10]),
+    "outside": lambda: _unit_steps([10**7] * 120 + [10**7 + 11]),
+    "jitter": _jittered,
+}
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 64])
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("case", _STEP_TEXTS)
+def test_step_counts_match_reference(monkeypatch, slice_chars, end, case):
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
+    text = _STEP_TEXTS[case]().replace("\n", end)
+    assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+
+
+def test_step_counts_take_numpy_medians(monkeypatch):
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", 64)
+    assert rd.trace_from_csv(_STEP_TEXTS["even"]()).sample_rate == 1.0 / (
+        (_NEAR + _NEXT) / 2 * _UNIT
+    )
+    assert rd.trace_from_csv(_STEP_TEXTS["odd"]()).sample_rate == 1.0 / (_NEXT * _UNIT)
+    assert rd.trace_from_csv(_STEP_TEXTS["inside"]()).sample_rate == 1.0 / (10**7 * _UNIT)
+    with pytest.raises(DomainError, match="trace times must be uniformly sampled"):
+        rd.trace_from_csv(_STEP_TEXTS["outside"]())
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["CR", "CRLF"])
+def test_lone_cr_ends_a_slice(monkeypatch, end):
+    # about three slices; a slice never ends between "\r" and "\n"
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 800.0, noise_rms=0.4, seed=2)
+    text = rd.trace_to_csv(trace).replace("\n", end)
+    parts, parse_rows = [], rd._parse_rows
+    monkeypatch.setattr(rd, "_parse_rows", lambda part: parts.append(part) or parse_rows(part))
+    assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+    assert len(parts) >= max(2, len(text) // rd._CSV_SLICE_CHARS)
+    assert all(len(part) < rd._CSV_SLICE_CHARS + 40 for part in parts)
+    # the last slice loses the whitespace after its last row
+    assert all(part.endswith(end) for part in parts[:-1])
+
+
+# ---------------------------------------------------------------------------
 # the row bound: at least "a,b" and a line end per row
 # ---------------------------------------------------------------------------
 
@@ -440,7 +514,7 @@ def _minimal_rows(end: str, final: bool) -> str:
     return "time_s,value" + end + body + (end if final else "")
 
 
-@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("slice_chars", [1 << 20, rd._CSV_SLICE_CHARS, 1000, 1])
 @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
 @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
 def test_shortest_rows_parse_within_the_row_bound(monkeypatch, slice_chars, final, end):
@@ -453,7 +527,7 @@ def test_shortest_rows_parse_within_the_row_bound(monkeypatch, slice_chars, fina
     assert trace.samples.base is None and trace.samples.flags.owndata
 
 
-@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("slice_chars", [1 << 20, rd._CSV_SLICE_CHARS, 1000, 1])
 def test_parsed_samples_own_no_oversized_buffer(monkeypatch, slice_chars):
     monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
     text = FIXTURE.read_text()

@@ -1,4 +1,5 @@
-"""A day-long record's CSV text is held once by the writer and the reader.
+"""A day-long record's CSV text is held once by the writer and the reader,
+and the parse and the bandpass allocate no more than they must.
 
 Each step runs in a fresh interpreter, so the rise of its peak RSS
 over the value just before the step is the step's own peak.  The peak
@@ -8,12 +9,18 @@ peak stays below the test runner's.  A step that holds the text twice
 (a byte buffer and its decoded str, or parts and their join) rises by
 about twice the text, and so does an append that copies the text each
 time; the bound is 1.4 times the text.
+
+The parse and the bandpass are measured in process with tracemalloc,
+which sees numpy's buffers whole, touched or not: the parse's sample
+array, sized for the shortest rows, is already twice the text of the
+rows trace_to_csv writes.
 """
 
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -111,3 +118,45 @@ def test_sliced_read_is_a_text_mode_read(layout, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == hashlib.sha256(expected.encode()).hexdigest()
+
+
+# traced peaks: a parse that keeps a time column beside its samples
+# reaches 4.6 times the text, and a bandpass that keeps its frequency
+# array beside the spectrum 2.65 times the samples
+PARSE_PEAK = 2.6
+BANDPASS_PEAK = 2.3
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def record_text():
+    trace = ringdown.synthesize_ringdown(2.2, 2000.0, 50.0, ROWS / 50.0, noise_rms=0.4)
+    return ringdown.trace_to_csv(trace)
+
+
+# a lone "\r" ends a slice as "\n" does, so a CR record is parsed in
+# slices too, not as one run of rows
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["LF", "CR"])
+def test_parse_stays_within_its_peak(monkeypatch, record_text, end):
+    # the slices in flight grow with the workers: two, whatever the machine has
+    monkeypatch.setattr(ringdown, "_WORKERS", 2)
+    text = record_text.replace("\n", end)
+    trace, peak = _traced(ringdown.trace_from_csv, text)
+    assert peak <= PARSE_PEAK * len(text)
+    lf = ringdown.trace_from_csv(record_text)
+    assert (trace.sample_rate, trace.start_time) == (lf.sample_rate, lf.start_time)
+    assert trace.samples.tobytes() == lf.samples.tobytes()
+
+
+def test_bandpass_stays_within_its_peak(record_text):
+    trace = ringdown.trace_from_csv(record_text)
+    _, peak = _traced(ringdown.bandpass, trace, 2.2, 0.5)
+    assert peak <= BANDPASS_PEAK * trace.samples.nbytes
