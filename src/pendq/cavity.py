@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     CONST,
@@ -130,23 +130,44 @@ def optical_rigidity(cavity: Cavity) -> float:
 class EffectiveOscillator:
     """The pendulum stiffened (or softened) by the optical spring.
 
-    For a restoring spring omega_eff^2 = omega_opt^2 + omega_m^2 and
-    Q_eff = Q_m (omega_eff/omega_m)^2 hold exactly.
-    anti_damped flags the sign of the optical damping that
-    accompanies a single-beam restoring spring in the adiabatic limit;
-    stabilizing it (second beam or feedback) is outside this model.
+    Built from the bare oscillator (mass, omega_m, q_m) and the optical
+    spring constant k_opt; the rest is derived here, once.  For a
+    restoring spring omega_eff^2 = omega_opt^2 + omega_m^2 and
+    Q_eff = Q_m (omega_eff/omega_m)^2 hold exactly.  A negative k_opt
+    softens the pendulum (omega_eff below omega_m); at or beyond the
+    gravitational rigidity there is no stable effective oscillator and
+    a domain error is raised.  anti_damped flags the sign of the optical
+    damping that accompanies a single-beam restoring spring in the
+    adiabatic limit; stabilizing it (second beam or feedback) is outside
+    this model.
     """
 
     mass: float
     omega_m: float
     q_m: float
     k_opt: float
-    k_g: float
-    omega_opt: float
-    omega_eff: float
-    q_eff: float
-    spring_ratio: float
-    anti_damped: bool
+    k_g: float = field(init=False)
+    omega_opt: float = field(init=False)
+    omega_eff: float = field(init=False)
+    q_eff: float = field(init=False)
+    spring_ratio: float = field(init=False)
+    anti_damped: bool = field(init=False)
+
+    def __post_init__(self):
+        mass, omega_m, k_opt = self.mass, self.omega_m, self.k_opt
+        _require_positive("mass", mass)
+        _require_positive("omega_m", omega_m)
+        _require_positive("q_m", self.q_m)
+        k_g = mass * omega_m**2
+        if k_opt <= -k_g:
+            raise DomainError("anti-restoring optical spring exceeds gravitational rigidity")
+        omega_opt = math.sqrt(max(k_opt, 0.0) / mass)
+        omega_eff = math.sqrt(omega_m**2 + k_opt / mass)
+        q_eff = self.q_m * (omega_eff / omega_m) ** 2
+        for name, value in (("k_g", k_g), ("omega_opt", omega_opt), ("omega_eff", omega_eff),
+                            ("q_eff", q_eff), ("spring_ratio", k_opt / k_g),
+                            ("anti_damped", k_opt > 0.0)):
+            object.__setattr__(self, name, value)
 
     @property
     def omega_eff_hz(self) -> float:
@@ -171,33 +192,8 @@ class EffectiveOscillator:
 def stiffened_oscillator(
     mass: float, omega_m: float, q_m: float, k_opt: float
 ) -> EffectiveOscillator:
-    """Combine a bare oscillator with an optical spring constant.
-
-    A negative k_opt softens the pendulum (omega_eff below omega_m); at
-    or beyond the gravitational rigidity there is no stable effective
-    oscillator and a domain error is raised.
-    """
-    _require_positive("mass", mass)
-    _require_positive("omega_m", omega_m)
-    _require_positive("q_m", q_m)
-    k_g = mass * omega_m**2
-    if k_opt <= -k_g:
-        raise DomainError("anti-restoring optical spring exceeds gravitational rigidity")
-    omega_opt = math.sqrt(max(k_opt, 0.0) / mass)
-    omega_eff = math.sqrt(omega_m**2 + k_opt / mass)
-    q_eff = q_m * (omega_eff / omega_m) ** 2
-    return EffectiveOscillator(
-        mass=mass,
-        omega_m=omega_m,
-        q_m=q_m,
-        k_opt=k_opt,
-        k_g=k_g,
-        omega_opt=omega_opt,
-        omega_eff=omega_eff,
-        q_eff=q_eff,
-        spring_ratio=k_opt / k_g,
-        anti_damped=k_opt > 0.0,
-    )
+    """Combine a bare oscillator with an optical spring constant."""
+    return EffectiveOscillator(mass, omega_m, q_m, k_opt)
 
 
 def effective_oscillator(model: PendulumModel, cavity: Cavity) -> EffectiveOscillator:
@@ -247,15 +243,24 @@ class RequirementReport:
 
     eq1 is the Qf-product check on the effective oscillator; the
     measurement-rate band [eq2_edge_hz, inf) is evaluated on the bare
-    pendulum.  passed means eq1 holds and the effective frequency sits
-    inside the measurement-rate band.
+    pendulum.  band_overlap_hz, derived here, is the part of the sub-SQL
+    band inside the measurement-rate band: frequencies where the
+    oscillator is simultaneously measurable and below the SQL.  passed
+    means eq1 holds and the effective frequency sits inside the
+    measurement-rate band.
     """
 
     effective: EffectiveOscillator
     eq1: QfReport
     eq2_edge_hz: float
     sub_sql_band_hz: tuple[tuple[float, float], ...]
-    band_overlap_hz: tuple[tuple[float, float], ...]
+    band_overlap_hz: tuple[tuple[float, float], ...] = field(init=False)
+
+    def __post_init__(self):
+        bands, edge = tuple(tuple(b) for b in self.sub_sql_band_hz), self.eq2_edge_hz
+        overlap = tuple((max(lo, edge), hi) for lo, hi in bands if hi > max(lo, edge))
+        object.__setattr__(self, "sub_sql_band_hz", bands)
+        object.__setattr__(self, "band_overlap_hz", overlap)
 
     @property
     def in_band(self) -> bool:
@@ -311,21 +316,13 @@ def effective_requirements(
     edge uses the bare (omega_m, Q_m) and is the same closed form the
     suspension module exposes.  Both take the temperature of model.env.
     sub_sql is the thermal sub-SQL band, e.g. budget.thermal_sub_sql_band
-    of the model on a config's grid.  The report lists the overlap of
-    the measurement-rate band with the sub-SQL band: frequencies where
-    the oscillator is simultaneously measurable and below the SQL.
+    of the model on a config's grid.
     """
     temperature = model.env.temperature
     eff = effective_oscillator(model, cavity)
-    eq1 = qf_requirement(eff.omega_eff, eff.q_eff, temperature)
-    edge_hz = measurement_band_edge(eff.omega_m, eff.q_m, temperature)
-    overlap = tuple(
-        (max(lo, edge_hz), hi) for lo, hi in sub_sql if hi > max(lo, edge_hz)
-    )
     return RequirementReport(
         effective=eff,
-        eq1=eq1,
-        eq2_edge_hz=edge_hz,
-        sub_sql_band_hz=tuple(tuple(b) for b in sub_sql),
-        band_overlap_hz=overlap,
+        eq1=qf_requirement(eff.omega_eff, eff.q_eff, temperature),
+        eq2_edge_hz=measurement_band_edge(eff.omega_m, eff.q_m, temperature),
+        sub_sql_band_hz=sub_sql,
     )

@@ -452,7 +452,8 @@ def _csv_float_pairs(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     times 10^k, k = exponent - 8; for |k| <= 22 that is one correctly
     rounded multiply or divide of exact operands (Clinger, PLDI 1990),
     so the value is float()'s, bit for bit.  Cells with larger |k| take
-    float() one by one.
+    float() one by one.  What it takes also decides trace_from_csv's
+    time rule: only its rows have the known rounding of 9-digit cells.
     """
     if not text.isascii() or not text.endswith("\n"):
         return None

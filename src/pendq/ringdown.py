@@ -30,7 +30,7 @@ import re
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
@@ -164,21 +164,20 @@ class BinnedEnvelope:
 
 @dataclass(frozen=True)
 class RingdownFit:
-    """Exponential-decay fit result; Q = pi f0 tau holds by construction."""
+    """Exponential-decay fit result; q = pi f0 tau is derived here."""
 
     tau: float          # amplitude 1/e time [s]
     f0: float           # [Hz]
-    q: float
     q_rel_error: float
     residual_norm: float
     n_bins: int
+    q: float = field(init=False)
 
     def __post_init__(self):
         _require_positive("tau", self.tau)
         _require_positive("f0", self.f0)
         _require_positive("q_rel_error", self.q_rel_error)
-        if not math.isclose(self.q, math.pi * self.f0 * self.tau, rel_tol=1e-12):
-            raise DomainError("q must equal pi * f0 * tau")
+        object.__setattr__(self, "q", math.pi * self.f0 * self.tau)
 
     def to_dict(self) -> dict:
         return {
@@ -225,9 +224,10 @@ def synthesize_ringdown(
         _require_nonnegative("drift_uhz", drift_uhz)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed!r}")
-    if sample_rate < 4.0 * f0:
+    if sample_rate <= 4.0 * f0:
         raise DomainError(
-            f"sample_rate {sample_rate} Hz under-samples f0 = {f0} Hz (need >= 4 f0)"
+            f"sample_rate {sample_rate} Hz under-samples f0 = {f0} Hz "
+            "(the fit's envelope needs > 4 f0)"
         )
     if duration * f0 < MIN_CYCLES:
         raise DomainError(
@@ -513,7 +513,6 @@ def fit_exponential(
     return RingdownFit(
         tau=tau,
         f0=f0,
-        q=math.pi * f0 * tau,
         q_rel_error=rel_err,
         residual_norm=residual_norm,
         n_bins=int(binned.bin_centers.size),
@@ -690,7 +689,9 @@ def _text_slices(fh, path: str):
     reads it, in slices decoded from one reused buffer.
 
     The buffer holds min(file size, _READ_BYTES) bytes, or _READ_BYTES
-    for a pipe.  Each slice goes through the decoder chain text mode
+    for a pipe, and is filled before each decode however few bytes a
+    read returns (a pipe gives at most 64 KB), so the text is built from
+    few slices.  Each slice goes through the decoder chain text mode
     builds: it drops a leading byte order mark, which spreadsheets put
     before the header, carries a character or a "\\r" that ends a slice
     over to the next, and translates line ends.  A decode error is a
@@ -702,7 +703,9 @@ def _text_slices(fh, path: str):
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), True)
     read, head = 0, b""  # the bytes read, and the first three of them
     while True:
-        got = fh.readinto(view)
+        got = 0
+        while got < len(view) and (more := fh.readinto(view[got:])):
+            got += more
         read += got
         head += view[: min(got, 3 - len(head))]
         try:
@@ -797,7 +800,10 @@ def trace_from_csv(text: str) -> RingdownTrace:
 
     Raises DomainError for a missing header, a row without exactly 2
     numeric fields, fewer than 2 rows, non-finite times or steps, and
-    unordered or non-uniform times.
+    unordered or non-uniform times: every step within 1e-6 of the median
+    one, which sets the rate, or for rows all read by _csv_float_pairs
+    whose mean step is over ten times their time cells' resolution,
+    within twice that resolution of the mean one.
     """
     # the header starts at the first character that is not str.isspace(),
     # which is what \S matches in a str; the search copies no text
@@ -832,11 +838,13 @@ def trace_from_csv(text: str) -> RingdownTrace:
         return part, columns, None if columns is None else _step_counts(columns[0])
 
     # the distinct steps of each slice with their counts, and the step
-    # between each two slices with a count of 1
-    finite, counted = True, []
+    # between each two slices with a count of 1; exact: every slice took
+    # _csv_float_pairs
+    finite, exact, counted = True, True, []
     for part, columns, summary in _in_order(parse, cut(pos)):
         pos += len(part)
         if columns is None:
+            exact = False
             columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
             summary = _step_counts(columns[0])
         times, values = columns
@@ -870,11 +878,24 @@ def trace_from_csv(text: str) -> RingdownTrace:
     step = above if filled % 2 == 0 else (below + above) / 2
     if step == math.inf:
         raise DomainError("trace time steps must be finite, got inf")
+    rate = 1.0 / step
     if np.any(np.abs(steps - step) > 1e-6 * step):
-        raise DomainError("trace times must be uniformly sampled")
+        # a _CSV_FLOAT time has 9 significant digits, so the steps of the
+        # rows trace_to_csv writes stray by up to 10^(E-8) s, E the decimal
+        # exponent of the largest |time|: such rows may stray by twice that
+        # from their mean step, which then sets the rate.  Missing rows move
+        # some step by at least a third of the mean one, so this tells them
+        # from rounding only where the mean step is over ten resolutions
+        span = last - start_time
+        resolution = 10.0 ** (math.floor(math.log10(max(-start_time, last))) - 8)
+        mean = span / (filled - 1)
+        if not (exact and 10.0 * resolution < mean < math.inf
+                and np.all(np.abs(steps - mean) <= 2.0 * resolution)):
+            raise DomainError("trace times must be uniformly sampled")
+        rate = (filled - 1) / span
     # hands the unfilled tail back, so the samples own no more than they hold
     samples.resize(filled, refcheck=False)
-    return RingdownTrace(sample_rate=1.0 / step, samples=samples, start_time=start_time)
+    return RingdownTrace(sample_rate=rate, samples=samples, start_time=start_time)
 
 
 def fit_to_json(fit: RingdownFit) -> str:

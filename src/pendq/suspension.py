@@ -16,7 +16,7 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -99,17 +99,18 @@ class PendulumModel:
 
 @dataclass(frozen=True)
 class LossBudget:
-    """Per-channel loss angles and their sum."""
+    """Per-channel loss angles and their sum, derived here."""
 
     contributions: tuple[tuple[str, float], ...]
-    total_phi: float
+    total_phi: float = field(init=False)
 
-    @classmethod
-    def from_channels(cls, channels: list[tuple[str, float]]) -> "LossBudget":
-        for name, phi in channels:
+    def __post_init__(self):
+        contributions = tuple(self.contributions)
+        for name, phi in contributions:
             if phi < 0:
                 raise DomainError(f"loss channel {name!r} has negative phi {phi}")
-        return cls(tuple(channels), total_phi=float(sum(phi for _, phi in channels)))
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "total_phi", float(sum(phi for _, phi in contributions)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def material_loss_budget(fiber: Fiber, env: Environment, omega: float) -> LossBu
         ("surface", 1.0 / surface_limited_q(fiber)),
         ("thermoelastic", float(thermoelastic_loss_angle(fiber, env, omega))),
     ]
-    return LossBudget.from_channels(channels)
+    return LossBudget(channels)
 
 
 def material_q(fiber: Fiber, env: Environment) -> float:
@@ -335,12 +336,25 @@ def gas_limited_q(test_mass: TestMass, env: Environment, omega_m: float) -> floa
 
 @dataclass(frozen=True)
 class QfReport:
-    """Qf-product requirement: lhs = Q_m omega_m vs rhs = k_B T / hbar."""
+    """Qf-product requirement: lhs = Q_m omega_m vs rhs = k_B T / hbar, and
+    the passed and margin derived here; a side or margin that overflows
+    is a DomainError."""
 
     lhs: float
     rhs: float
-    passed: bool
-    margin: float
+    passed: bool = field(init=False)
+    margin: float = field(init=False)
+
+    def __post_init__(self):
+        lhs, rhs = self.lhs, self.rhs
+        margin = lhs / rhs
+        if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
+            raise DomainError(
+                f"Qf product not finite: Q_m*omega_m = {lhs!r} rad/s, "
+                f"k_B*T/hbar = {rhs!r} rad/s, margin {margin!r}"
+            )
+        object.__setattr__(self, "passed", lhs > rhs)
+        object.__setattr__(self, "margin", margin)
 
     def to_dict(self) -> dict:
         return {
@@ -352,21 +366,10 @@ class QfReport:
 
 
 def qf_requirement(omega_m: float, q_m: float, temperature: float) -> QfReport:
-    """Check Q_m omega_m > k_B T / hbar (one coherent oscillation per phonon).
-
-    Raises DomainError when either side or their ratio overflows.
-    """
+    """Check Q_m omega_m > k_B T / hbar (one coherent oscillation per phonon)."""
     _require_positive("omega_m", omega_m)
     _require_positive("q_m", q_m)
-    lhs = q_m * omega_m
-    rhs = thermal_decoherence_rate(temperature)
-    margin = lhs / rhs
-    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(margin)):
-        raise DomainError(
-            f"Qf product not finite: Q_m*omega_m = {lhs!r} rad/s, "
-            f"k_B*T/hbar = {rhs!r} rad/s, margin {margin!r}"
-        )
-    return QfReport(lhs=lhs, rhs=rhs, passed=lhs > rhs, margin=margin)
+    return QfReport(lhs=q_m * omega_m, rhs=thermal_decoherence_rate(temperature))
 
 
 def measurement_band_edge(omega_m: float, q_m: float, temperature: float) -> float:

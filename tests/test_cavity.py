@@ -191,6 +191,19 @@ def test_softening_spring():
         cav.stiffened_oscillator(1e-3, 10.0, 100.0, -k_g)
     with pytest.raises(DomainError):
         cav.stiffened_oscillator(1e-3, 10.0, 100.0, -2 * k_g)
+    # a directly built oscillator is checked the same way
+    with pytest.raises(DomainError, match="gravitational rigidity"):
+        cav.EffectiveOscillator(1e-3, 10.0, 100.0, -k_g)
+    with pytest.raises(DomainError, match="mass"):
+        cav.EffectiveOscillator(0.0, 10.0, 100.0, 1.0)
+
+
+def test_replaced_spring_rederives_the_oscillator():
+    osc = cav.effective_oscillator(MODEL, CAVITY)
+    for k_opt in (0.0, -0.5 * osc.k_g, 1e-3 * osc.k_opt, 10 * osc.k_opt):
+        # == compares every field, the derived ones too
+        fresh = cav.stiffened_oscillator(osc.mass, osc.omega_m, osc.q_m, k_opt)
+        assert replace(osc, k_opt=k_opt) == fresh
 
 
 def test_effective_oscillator_preset():
@@ -315,11 +328,23 @@ def test_report_rate_band_includes_its_edge():
     at_edge = replace(report, eq2_edge_hz=report.effective.omega_eff_hz)
     above = replace(at_edge, eq2_edge_hz=math.nextafter(at_edge.eq2_edge_hz, math.inf))
     assert at_edge.in_band and not above.in_band
-    failing_eq1 = replace(at_edge, eq1=replace(report.eq1, passed=False))
+    failing_eq1 = replace(at_edge, eq1=replace(report.eq1, lhs=report.eq1.rhs))
     for r in (report, at_edge, above, failing_eq1):
         assert r.passed == (r.eq1.passed and r.in_band)
         assert r.to_dict()["passed"] is r.passed
     assert at_edge.passed and not above.passed and not failing_eq1.passed
+
+
+def test_replaced_edge_rederives_the_overlap():
+    report = cav.effective_requirements(MODEL, CAVITY, sub_sql=[(300.0, 900.0), (1e3, 2e3)])
+    for edge_hz, overlap in (
+        (100.0, ((300.0, 900.0), (1e3, 2e3))),
+        (500.0, ((500.0, 900.0), (1e3, 2e3))),
+        (900.0, ((1e3, 2e3),)),
+        (1500.0, ((1500.0, 2e3),)),
+        (2e3, ()),
+    ):
+        assert replace(report, eq2_edge_hz=edge_hz).band_overlap_hz == overlap
 
 
 def test_report_serializes_to_json():

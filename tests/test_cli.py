@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -841,34 +842,55 @@ TRICKLED = {
 
 
 @pytest.mark.parametrize("data", TRICKLED.values(), ids=TRICKLED)
-def test_sliced_decode_matches_a_whole_stream_decode(data, tmp_path):
-    # a byte order mark or a character cut across slices decodes, or
-    # fails, as one decode of the whole stream does
+def test_sliced_decode_matches_a_whole_stream_decode(data, tmp_path, monkeypatch):
+    # a byte order mark or a character cut across slices of 2 or 3 bytes
+    # decodes, or fails, as one decode of the whole stream does
     path = tmp_path / "trickle.csv"
     path.write_bytes(data)
-    with _Trickle(path) as fh:
-        try:
-            text = "".join(ringdown_mod._text_slices(fh, str(path)))
-        except DomainError as exc:
-            text, error = None, str(exc)
-    try:
+    try:  # the text a whole decode gives, or the message of its error
         expected = codecs.decode(data, "utf-8-sig")
     except UnicodeDecodeError as exc:
-        assert text is None
-        assert error == f"malformed trace CSV {path}: not UTF-8 text ({exc})"
-    else:
-        assert text == expected
+        expected = f"malformed trace CSV {path}: not UTF-8 text ({exc})"
+    for read_bytes in (2, 3):
+        monkeypatch.setattr(ringdown_mod, "_READ_BYTES", read_bytes)
+        with _Trickle(path) as fh:
+            try:
+                assert "".join(ringdown_mod._text_slices(fh, str(path))) == expected
+            except DomainError as exc:
+                assert str(exc) == expected
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
-def test_sliced_decode_translates_line_ends_the_slices_cut(end, tmp_path):
-    # 2-byte reads end slices between "\r" and "\n", and on the last "\r"
+def test_sliced_decode_translates_line_ends_the_slices_cut(end, tmp_path, monkeypatch):
+    # 2-byte slices end between "\r" and "\n", and on the last "\r"
+    monkeypatch.setattr(ringdown_mod, "_READ_BYTES", 2)
     path = tmp_path / "trickle.csv"
     text = "\ufefftime_s,value\n0,1\n1,2\n\u20ac\n2,3\n"
     path.write_bytes(text.replace("\n", end).encode())
     with _Trickle(path) as fh:
         slices = list(ringdown_mod._text_slices(fh, str(path)))
     assert "".join(slices) == text[1:]
+
+
+def test_pipe_is_read_in_whole_buffers():
+    # a pipe returns at most 64 KB a read; each slice still fills the
+    # buffer, so a 20 MB record takes 20 slices and the final empty one
+    data = b"0,1\n" * (5 << 20)
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with open(read_end, "rb", buffering=0) as fh:
+            slices = list(ringdown_mod._text_slices(fh, "<pipe>"))
+    finally:
+        writer.join()
+    assert len(slices) <= 21
+    assert "".join(slices) == data.decode()
 
 
 SURVEY = (

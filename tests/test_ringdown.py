@@ -1,5 +1,6 @@
 """Ring-down synthesis, envelope extraction, binning, and Q fitting."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -59,7 +60,9 @@ def test_synthesize_validation():
     with pytest.raises(DomainError):
         rd.synthesize_ringdown(2.2, 0.0, 50.0, 60.0)
     with pytest.raises(DomainError):
-        rd.synthesize_ringdown(2.2, 2000.0, 8.0, 60.0)  # needs fs >= 4 f0
+        rd.synthesize_ringdown(2.2, 2000.0, 8.0, 60.0)  # needs fs > 4 f0
+    with pytest.raises(DomainError, match="needs > 4 f0"):
+        rd.synthesize_ringdown(2.2, 2000.0, 8.8, 60.0)  # at 4 f0 the fit refuses the record
     with pytest.raises(DomainError):
         rd.synthesize_ringdown(2.2, 2000.0, 50.0, 4.0)  # < 10 cycles
     with pytest.raises(DomainError):
@@ -453,15 +456,15 @@ def test_fit_json():
     assert payload["q"] == fit.q
 
 
+def test_replaced_tau_rederives_q():
+    fit = rd.fit_exponential(_exact_binned(290.0), 2.2)
+    moved = dataclasses.replace(fit, tau=2 * fit.tau)
+    assert moved.q == math.pi * 2.2 * (2 * fit.tau)
+
+
 def test_ringdown_fit_validation():
-    with pytest.raises(DomainError, match="pi"):
-        rd.RingdownFit(
-            tau=100.0, f0=2.2, q=500.0, q_rel_error=0.01, residual_norm=1.0, n_bins=8
-        )
     with pytest.raises(DomainError):
-        rd.RingdownFit(
-            tau=-1.0, f0=2.2, q=1.0, q_rel_error=0.01, residual_norm=1.0, n_bins=8
-        )
+        rd.RingdownFit(tau=-1.0, f0=2.2, q_rel_error=0.01, residual_norm=1.0, n_bins=8)
 
 
 def test_synthesize_sample_bound():

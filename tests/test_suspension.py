@@ -261,7 +261,15 @@ def test_material_loss_budget_sums_channels():
         budget.total_phi, sum(phi for _, phi in budget.contributions), rel_tol=1e-15
     )
     with pytest.raises(DomainError):
-        susp.LossBudget.from_channels([("bad", -1e-6)])
+        susp.LossBudget([("bad", -1e-6)])
+
+
+def test_loss_budget_built_directly_is_checked_and_summed():
+    with pytest.raises(DomainError, match="negative phi"):
+        susp.LossBudget((("bulk", 1e-6), ("bad", -1e-6)))
+    budget = susp.LossBudget([("bulk", 1e-6), ("surface", 2e-6)])
+    assert budget.contributions == (("bulk", 1e-6), ("surface", 2e-6))
+    assert budget.total_phi == 1e-6 + 2e-6
 
 
 def test_material_q_prefers_measured_value():
@@ -310,6 +318,17 @@ def test_qf_requirement_margin():
     assert math.isclose(r2.margin, report.margin / 2, rel_tol=1e-12)
     d = report.to_dict()
     assert set(d) == {"lhs_rad_per_s", "rhs_rad_per_s", "passed", "margin"}
+
+
+def test_qf_report_replace_derives_the_verdict():
+    report = susp.qf_requirement(100.0, 1e12, 300.0)
+    assert report.passed
+    for lhs in (report.rhs / 4, report.rhs, 3 * report.rhs):
+        moved = dataclasses.replace(report, lhs=lhs)
+        assert moved.passed == (lhs > report.rhs)
+        assert moved.margin == lhs / report.rhs
+    with pytest.raises(DomainError, match="not finite"):
+        dataclasses.replace(report, lhs=math.inf)
 
 
 def test_measurement_band_edge():

@@ -60,11 +60,19 @@ def _slice_chars(chars):
         rd._CSV_SLICE_CHARS = old
 
 
+# a row as trace_to_csv writes it, the rows _csv_float_pairs reads
+_CELL = r"-?[0-9]\.[0-9]{8}e[+-][0-9]{2,3}"
+_CANONICAL_ROW = re.compile(f"{_CELL},{_CELL}\n")
+
+
 def _reference_trace(text: str) -> rd.RingdownTrace:
     """The per-line parser the sliced one replaced, checks included."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].strip() != rd.TRACE_HEADER:
         raise DomainError("header")
+    rest = text.lstrip()
+    body = rest[len(rest.splitlines(keepends=True)[0]) :]
+    exact = all(_CANONICAL_ROW.fullmatch(row) for row in body.splitlines(keepends=True))
     try:
         rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float)
     except ValueError as exc:
@@ -75,9 +83,17 @@ def _reference_trace(text: str) -> rd.RingdownTrace:
     if np.any(dt <= 0.0):
         raise DomainError("order")
     step = float(np.median(dt))
+    rate = 1.0 / step
     if np.any(np.abs(dt - step) > 1e-6 * step):
-        raise DomainError("uniform")
-    return rd.RingdownTrace(1.0 / step, rows[:, 1], start_time=float(rows[0, 0]))
+        # rows of 9-digit cells may stray by their rounding from the mean step
+        first, last = float(rows[0, 0]), float(rows[-1, 0])
+        resolution = 10.0 ** (math.floor(math.log10(max(-first, last))) - 8)
+        mean = (last - first) / dt.size
+        if not (exact and 10 * resolution < mean < math.inf
+                and np.all(np.abs(dt - mean) <= 2 * resolution)):
+            raise DomainError("uniform")
+        rate = dt.size / (last - first)
+    return rd.RingdownTrace(rate, rows[:, 1], start_time=float(rows[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +358,6 @@ def test_csv_float_pairs_match_float(pairs):
     assert [column.tobytes() for column in columns] == _float_columns(text)
 
 
-_CELL = r"-?[0-9]\.[0-9]{8}e[+-][0-9]{2,3}"
-_CANONICAL_ROW = re.compile(f"{_CELL},{_CELL}\n")
 _EDITS = {
     "replace": lambda text, i, c: text[:i] + c + text[i + 1 :],
     "insert": lambda text, i, c: text[:i] + c + text[i:],
@@ -377,11 +391,77 @@ def test_csv_float_pairs_take_only_canonical_rows(pairs, where, edit, char):
     st.floats(min_value=1e-3, max_value=1e6),
     st.one_of(st.floats(min_value=-1e9, max_value=1e9), st.sampled_from([0.0, -0.0, 1e-17])),
 )
+# 30 Hz from 240 s on: the cells' rounding moves steps by 3e-5 of a step
+@example(samples=[0.5] * 100, sample_rate=30.0, start_time=240.0)
 def test_trace_round_trip_matches_reference(slice_chars, samples, sample_rate, start_time):
     trace = rd.RingdownTrace(sample_rate, samples, start_time=start_time)
     text = rd.trace_to_csv(trace)
     with _slice_chars(slice_chars):
         assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+        # a 9-digit time cell resolves 10^(E-8) s, E the decimal exponent of
+        # the largest |time| read: a step over ten times that (eleven, as
+        # the mean step moves by up to one) always reads back, to within
+        # that resolution
+        times = [float(row.split(",")[0]) for row in text.splitlines()[1:]]
+        resolution = 10.0 ** (math.floor(math.log10(max(-times[0], times[-1]))) - 8)
+        if 1.0 / sample_rate > 11 * resolution:
+            read = rd.trace_from_csv(text)
+            assert abs(1.0 / read.sample_rate - 1.0 / sample_rate) <= 1.001 * resolution
+
+
+@pytest.mark.parametrize("sample_rate", [9.3, 13.7, 30.0, 33.3, 1024.0])
+def test_synth_records_read_back_at_any_rate(sample_rate):
+    trace = rd.synthesize_ringdown(2.2, 2000.0, sample_rate, 240.0, noise_rms=0.4, seed=3)
+    text = rd.trace_to_csv(trace)
+    read = rd.trace_from_csv(text)
+    assert abs(read.sample_rate / sample_rate - 1.0) <= 1e-8
+    fit = rd.measure_q(read, 2.2, 0.5, 20.0)
+    assert abs(fit.q / 2000.0 - 1.0) < 3.0 * fit.q_rel_error
+    # a row missing, or the same rows not as trace_to_csv writes them,
+    # still fail the 1e-6 bound
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(DomainError, match="uniformly sampled"):
+        rd.trace_from_csv("".join(lines[:1000] + lines[1001:]))
+    with pytest.raises(DomainError, match="uniformly sampled"):
+        rd.trace_from_csv(text.replace("\n", "\r\n"))
+
+
+def test_long_record_reads_back_at_its_rate():
+    # 2 h at 30 Hz: cells round to 1e-6 s, 3e-5 of a step; Q is not
+    # asserted, a record of 3.5 tau fits biased (the noise floor)
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 30.0, 7200.0, noise_rms=0.4, seed=3)
+    read = rd.trace_from_csv(rd.trace_to_csv(trace))
+    assert abs(read.sample_rate / 30.0 - 1.0) <= 1e-8
+    assert read.samples.size == trace.samples.size
+
+
+@pytest.mark.parametrize(
+    "sample_rate, start_time", [(50.0, 1e6), (30.0, 240.0), (9.3, 1e6)]
+)
+def test_missing_rows_are_refused_at_any_resolution(sample_rate, start_time):
+    # one row missing moves a step by a whole sample; every other row of
+    # the first two thirds missing moves each step by a third of the mean
+    # one, the least any pattern of missing rows can
+    trace = rd.RingdownTrace(sample_rate, np.ones(3001), start_time=start_time)
+    text = rd.trace_to_csv(trace)
+    # the 3000 steps span their written length to within a cell's
+    # rounding, 0.01 s at most here
+    span = 3000 / rd.trace_from_csv(text).sample_rate
+    assert math.isclose(span, 3000 / sample_rate, rel_tol=0.0, abs_tol=0.01)
+    header, *rows = text.splitlines(keepends=True)
+    one_missing = rows[:1500] + rows[1501:]
+    thinned = [row for i, row in enumerate(rows) if i % 2 == 0 or i >= 2000]
+    for kept in (one_missing, thinned):
+        with pytest.raises(DomainError, match="uniformly sampled"):
+            rd.trace_from_csv(header + "".join(kept))
+
+
+def test_one_missing_row_at_50_hz_is_refused():
+    text = rd.trace_to_csv(rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0))
+    lines = text.splitlines(keepends=True)
+    assert math.isclose(rd.trace_from_csv(text).sample_rate, 50.0, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="uniformly sampled"):
+        rd.trace_from_csv("".join(lines[:5000] + lines[5001:]))
 
 
 def _crlf(line):
