@@ -11,11 +11,16 @@ low-pass, magnitude) rather than an analytic-signal transform: it has
 no boundary artifacts on finite records and its magnitude is invariant
 to the slow uHz-scale frequency wander real oscillators show.
 
-On day-long records the per-chunk stages (tone synthesis, the trace
-CSV writer and reader) run their chunks on a small thread pool, which
-each call opens and closes, and take the results in order, and the
-envelope filters its two quadratures on one at once, so the output is
-the same bytes as a serial run's (see _in_order).
+On day-long records tone synthesis and the trace CSV writer run their
+chunks on a small thread pool, which each call opens and closes, and
+take the results in order, and the envelope filters its two quadratures
+on one at once, so the output is the same bytes as a serial run's (see
+_in_order).  The trace CSV reader parses its slices in order on the
+calling thread: on a pool they handed the GIL between threads thousands
+of times per day-long record and took about a quarter more CPU to save
+about a fifth of the parse's wall time, which no fit time resolved, and
+the workers' arenas kept about 8 MB of heap resident under the bandpass
+FFT that sets a fit's peak.
 """
 
 from __future__ import annotations
@@ -58,10 +63,10 @@ MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
 # is allocated: `pendq ringdown synth` peaks at about 40 bytes per sample
-# and `ringdown fit` of its CSV at about 43 (275 and 288 MB for a 24 h
+# and `ringdown fit` of its CSV at about 41 (275 and 279 MB for a 24 h
 # 50 Hz record of 4.32 M samples, 105 MB of it the interpreter and
-# imports), so this caps them near 1.7 and 1.8 GB and admits a 7-day
-# 50 Hz record (30.24 M samples)
+# imports), so this caps both near 1.7 GB and admits a 7-day 50 Hz
+# record (30.24 M samples)
 MAX_SYNTH_SAMPLES = 40_000_000
 
 # samples per chunk of the elementwise stages (tone synthesis,
@@ -624,11 +629,11 @@ TRACE_HEADER = "time_s,value"
 # enough that numpy's per-call overhead vanishes, small enough that the
 # temporaries stay a few MB on day-long records.  At 1 << 16 rows the
 # allocator maps and unmaps a chunk's temporaries afresh, and a 24 h
-# record's CSV took twice the page faults of the text itself.  The
-# temporaries of the slices in flight stay resident after the parse,
-# under the bandpass FFT that sets a fit's peak: at 1 << 20 characters
-# 13 MB more of them did on a 24 h record (RSS 292 against 279 MB after
-# the parse, text included)
+# record's CSV took twice the page faults of the text itself.  A
+# slice's temporaries stay resident after the parse, under the bandpass
+# FFT that sets a fit's peak: cold fits of a 24 h record peaked at
+# 282-284 MB with 1 << 20 characters, 279-280 MB with 1 << 19 and
+# 277-278 MB with 1 << 18, which doubles the numpy calls per byte
 _CSV_CHUNK_ROWS = 1 << 15
 _CSV_SLICE_CHARS = 1 << 19
 
@@ -738,7 +743,7 @@ _LINE_END = re.compile(r"\r\n?|\n")
 def _step_counts(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct steps of a run of times and their counts, all that
     trace_from_csv checks of them beside their ends; None if a time is
-    not finite.  It calls no public function, so it may run on the pool."""
+    not finite."""
     if not np.isfinite(times).all():
         return None
     with np.errstate(over="ignore"):  # a step past the float range is inf
@@ -786,17 +791,16 @@ def trace_from_csv(text: str) -> RingdownTrace:
     Whitespace before the header and after the last row and blank lines
     are skipped, and every line end str.splitlines() knows ends a row.
     The body is read in slices of about _CSV_SLICE_CHARS characters,
-    cut after a "\\n", "\\r\\n" or lone "\\r", into a preallocated sample
-    array.  A slice of the rows trace_to_csv writes takes the exact
-    vectorised reader _csv_float_pairs, on a thread pool; any other
-    slice takes _parse_rows, on the calling thread, in file order.
-    Either way every value is bit-identical to float() of its field, and
-    the accepted syntax and the errors are those of the per-line parse.
-    No time column is kept: each slice's times shrink to the counts of
-    their distinct steps (see _step_counts), on the pool for the rows
-    _csv_float_pairs reads, and the checks run on the merged counts and
-    the steps between slices.  So beside the caller's text the parse
-    holds the sample array and no other row-sized one.
+    cut after a "\\n", "\\r\\n" or lone "\\r", and parsed in file order on
+    the calling thread into a preallocated sample array.  A slice of the
+    rows trace_to_csv writes takes the exact vectorised reader
+    _csv_float_pairs; any other slice takes _parse_rows.  Either way
+    every value is bit-identical to float() of its field, and the
+    accepted syntax and the errors are those of the per-line parse.  No
+    time column is kept: each slice's times shrink to the counts of
+    their distinct steps (see _step_counts), and the checks run on the
+    merged counts and the steps between slices.  So beside the caller's
+    text the parse holds the sample array and no other row-sized one.
 
     Raises DomainError for a missing header, a row without exactly 2
     numeric fields, fewer than 2 rows, non-finite times or steps, and
@@ -826,30 +830,22 @@ def trace_from_csv(text: str) -> RingdownTrace:
     while text[stop - 1].isspace():
         stop -= 1
 
-    def cut(pos: int):
-        while pos < stop:
-            end = _LINE_END.search(text, pos + _CSV_SLICE_CHARS, stop)
-            end = end.end() if end else len(text)
-            yield text[pos:end]
-            pos = end
-
-    def parse(part: str):
-        columns = _csv_float_pairs(part)
-        return part, columns, None if columns is None else _step_counts(columns[0])
-
     # the distinct steps of each slice with their counts, and the step
     # between each two slices with a count of 1; exact: every slice took
     # _csv_float_pairs
     finite, exact, counted = True, True, []
-    for part, columns, summary in _in_order(parse, cut(pos)):
-        pos += len(part)
+    while pos < stop:
+        end = _LINE_END.search(text, pos + _CSV_SLICE_CHARS, stop)
+        end = end.end() if end else len(text)
+        part, pos = text[pos:end], end
+        columns = _csv_float_pairs(part)
         if columns is None:
             exact = False
             columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
-            summary = _step_counts(columns[0])
         times, values = columns
         if not values.size:
             continue
+        summary = _step_counts(times)
         if summary is None:
             finite = False
         else:

@@ -1,10 +1,11 @@
 """Chunk-parallel ring-down stages against the serial code they replaced.
 
-The tone synthesis, the demodulation, the trace CSV writer and the
-trace CSV reader run their chunks on a thread pool each call opens.  The
-references here are the whole-array and per-row expressions those
-stages replaced; every result must match them byte for byte, with the
-worker count patched to 1 (everything inline) and to 2 (the pool).
+The tone synthesis, the demodulation and the trace CSV writer run their
+chunks on a thread pool each call opens; the trace CSV reader parses
+its slices in order on the calling thread.  The references here are the
+whole-array and per-row expressions those stages replaced; every result
+must match them byte for byte, with the worker count patched to 1
+(everything inline) and to 2 (the pool).
 """
 
 import math
@@ -355,6 +356,26 @@ def test_day_of_chunks_round_trips(workers):
     text = rd.trace_to_csv(trace)
     assert len(text) > 8 * rd._CSV_SLICE_CHARS
     assert _outcome(rd.trace_from_csv(text)) == _serial_parse(text)
+
+
+def test_reader_parses_on_the_calling_thread_and_the_writer_on_the_pool(monkeypatch):
+    # a pooled parse cost CPU and heap for a wall-time saving no fit time
+    # resolved, so the reader's slices start no thread; the writer's do
+    monkeypatch.setattr(rd, "_WORKERS", 2)
+    monkeypatch.setattr(rd, "_CSV_CHUNK_ROWS", 1000)
+    trace = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=16)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
+    text = rd.trace_to_csv(trace)
+    assert trace.samples.size > 4 * rd._CSV_CHUNK_ROWS
+    assert started and all(name.startswith("pendq-ringdown") for name in started)
+    assert text == _serial_csv(trace)
+    started.clear()
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", len(text) // 6)
+    parsed = rd.trace_from_csv(text)
+    assert started == []
+    assert _outcome(parsed) == _serial_parse(text)
 
 
 # ---------------------------------------------------------------------------

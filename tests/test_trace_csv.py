@@ -616,9 +616,7 @@ def test_parsed_samples_own_no_oversized_buffer(monkeypatch, slice_chars):
     assert samples.nbytes == 8 * (len(text.strip().splitlines()) - 1)
 
 
-def test_leading_whitespace_costs_no_copy_of_the_text(monkeypatch):
-    # the slices parse inline, so both parses allocate alike
-    monkeypatch.setattr(rd, "_WORKERS", 1)
+def test_leading_whitespace_costs_no_copy_of_the_text():
     text = rd.trace_to_csv(rd.synthesize_ringdown(2.2, 2000.0, 50.0, 4000.0, noise_rms=0.4))
     samples, peaks = [], []
     for case in (text, "\n" + text):
