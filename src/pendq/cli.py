@@ -371,6 +371,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _inputs(args) -> str:
+    """" (inputs: ...)" naming the --config path and every assignment the
+    call was given, a shorthand flag as the --set it stands for; "" for
+    a call given none."""
+    given = [f"--config {args.config}"] if getattr(args, "config", None) is not None else []
+    given += [f"--set {a}" for a in (*getattr(args, "set", ()), *getattr(args, "ringdown_set", ()))]
+    return f" (inputs: {', '.join(given)})" if given else ""
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -385,7 +394,7 @@ def main(argv=None) -> int:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except (ArithmeticError, MemoryError) as exc:  # extreme inputs overflow or exhaust memory
-        print(f"analysis error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"analysis error: {type(exc).__name__}: {exc}{_inputs(args)}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

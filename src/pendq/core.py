@@ -289,7 +289,12 @@ _JSON_FLOAT_WIDTH = 19
 def _times_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """a * 10^k, correctly rounded, for integer |k| <= 22."""
     scale = _POW10[np.abs(k)]
-    return np.divide(a, scale, where=k < 0, out=np.multiply(a, scale))
+    quotient = np.divide(a, scale)
+    # the product goes into the scale's buffer; a masked copy is cheaper
+    # than a masked divide
+    product = np.multiply(a, scale, out=scale)
+    np.copyto(product, quotient, where=k < 0)
+    return product
 
 
 def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,16 +310,32 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     [1e8, 1e9)), zero, non-finite values, 3-digit exponents and scales
     beyond 10^44.
     """
-    a = np.abs(x)
+    # each step writes over a buffer it no longer needs where it can, so
+    # a chunk holds a few value-sized arrays at a time
+    m = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero and non-finite are not ok
-        e = np.floor(np.log10(a))
-        ok = np.isfinite(e) & (np.abs(e) < 100) & (np.abs(8 - e) <= 44)
-        k = np.where(ok, 8 - e, 0).astype(np.intp)
-        half = k // 2
-        m = _times_pow10(_times_pow10(a, half), k - half)
+        e = np.log10(m)
+        np.floor(e, out=e)
+        # |e| < 100 and |8 - e| <= 44 for an integral e; NaN fails both
+        ok = (e >= -36.0) & (e <= 52.0)
+        bad = ~ok
+        k = np.subtract(8.0, e)
+        k[bad] = 0.0
+        k = k.astype(np.intp)
+        e[bad] = 0.0
+        e = e.astype(np.int32)
+        m = _times_pow10(m, k // 2)
+        k -= k // 2
+        m = _times_pow10(m, k)
         digits = np.rint(m)
-        ok &= (digits >= 1e8) & (digits < 1e9) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
-    return ok, np.where(ok, digits, 1e8).astype(np.int32), np.where(ok, e, 0).astype(np.int32)
+        frac = np.floor(m)
+        np.subtract(m, frac, out=frac)
+        frac -= 0.5
+        np.abs(frac, out=frac)
+        ok &= (digits >= 1e8) & (digits < 1e9) & (frac > 1e-6)
+    digits[~ok] = 1e8
+    e[~ok] = 0
+    return ok, digits.astype(np.int32), e
 
 
 def _sci_spans(
@@ -389,21 +410,21 @@ def _csv_rows(columns, suffix: str) -> np.ndarray:
         (",".join(_CSV_FLOAT % v for v in row) + suffix).encode("utf-8", "surrogatepass")
         for row in zip(*(c.x[slow].tolist() for c in cols))
     ]
-    width[slow] = [len(row) for row in exact]
+    width[slow] = lengths = [len(row) for row in exact]
     stop = np.cumsum(width)
     total = int(stop[-1]) if stop.size else 0
     out = np.empty(total + plain, dtype=np.uint8)
-    at = stop - width
+    at = np.subtract(stop, width, out=width)  # each row's first byte, in width's buffer
     at[slow] = total
     for c in cols:
-        out[at] = np.where(c.neg, ord("-"), 0)  # a plain cell's first digit overwrites the 0
+        # a plain cell's first digit overwrites the 0
+        out[at] = np.where(c.neg, np.uint8(ord("-")), np.uint8(0))
         at += c.neg
         w = c.span.shape[1]
         windows = np.ndarray((out.size - w + 1,), dtype=f"V{w}", buffer=out, strides=(1,))
         windows[at] = c.span.view(f"V{w}")[:, 0]
         at += w
     if slow.size:
-        lengths = width[slow]
         shift = np.repeat(stop[slow] - np.cumsum(lengths), lengths)
         out[shift + np.arange(shift.size)] = np.frombuffer(b"".join(exact), dtype=np.uint8)
     return out[:total]

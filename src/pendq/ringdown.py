@@ -62,8 +62,8 @@ MIN_CYCLES = 10.0
 MIN_FIT_BINS = 5
 
 # upper bound on a synthesized record's samples, checked before anything
-# is allocated: `pendq ringdown synth` peaks at about 40 bytes per sample
-# and `ringdown fit` of its CSV at about 41 (275 and 279 MB for a 24 h
+# is allocated: `pendq ringdown synth` and `ringdown fit` of its CSV
+# each peak at about 40 bytes per sample (276 and 275.5 MB for a 24 h
 # 50 Hz record of 4.32 M samples, 105 MB of it the interpreter and
 # imports), so this caps both near 1.7 GB and admits a 7-day 50 Hz
 # record (30.24 M samples)
@@ -127,7 +127,9 @@ class RingdownTrace:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ShapeError("samples must be a 1-d array with at least 2 points")
-        if not np.all(np.isfinite(samples)):
+        # a NaN carries through min and max, and an infinity is one of
+        # them: no sample-sized temporary, which would stay in the heap
+        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise DomainError("samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -260,12 +262,18 @@ def synthesize_ringdown(
     x = np.empty(n)
 
     def tone(lo: int) -> slice:
+        # amplitude * exp(-t / tau) * cos(phi), its operations in the
+        # same order, evaluated in x and one scratch array: the same bits
         hi = min(lo + _CHUNK_SAMPLES, n)
-        t = np.arange(lo, hi) / sample_rate
-        phi = w * t
+        t = np.divide(np.arange(lo, hi), sample_rate, out=x[lo:hi])
+        phi = np.multiply(w, t)
         if drift_phase is not None:
             phi += drift_phase[lo:hi]
-        x[lo:hi] = amplitude * np.exp(-t / tau) * np.cos(phi)
+        np.negative(t, out=t)
+        np.divide(t, tau, out=t)
+        np.exp(t, out=t)
+        np.multiply(amplitude, t, out=t)
+        np.multiply(t, np.cos(phi, out=phi), out=t)
         return slice(lo, hi)
 
     # the calling thread draws the noise, chunk by chunk in stream order,
@@ -629,11 +637,12 @@ TRACE_HEADER = "time_s,value"
 # enough that numpy's per-call overhead vanishes, small enough that the
 # temporaries stay a few MB on day-long records.  At 1 << 16 rows the
 # allocator maps and unmaps a chunk's temporaries afresh, and a 24 h
-# record's CSV took twice the page faults of the text itself.  A
-# slice's temporaries stay resident after the parse, under the bandpass
-# FFT that sets a fit's peak: cold fits of a 24 h record peaked at
-# 282-284 MB with 1 << 20 characters, 279-280 MB with 1 << 19 and
-# 277-278 MB with 1 << 18, which doubles the numpy calls per byte
+# record's CSV took twice the page faults of the text itself.  The heap
+# keeps about one slice's scratch after the parse, under the bandpass
+# FFT that sets a fit's peak.  While the reader kept a list of per-slice
+# step counts, which pinned more of it, cold fits of a 24 h record
+# peaked at 282-284 MB with 1 << 20 characters, 279-280 MB with 1 << 19
+# and 277-278 MB with 1 << 18, which doubles the numpy calls per byte
 _CSV_CHUNK_ROWS = 1 << 15
 _CSV_SLICE_CHARS = 1 << 19
 
@@ -750,6 +759,14 @@ def _step_counts(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return np.unique(np.diff(times), return_counts=True)
 
 
+def _merged_steps(*pairs) -> tuple[np.ndarray, np.ndarray]:
+    """One (steps, counts) pair of the distinct steps of (steps, counts)
+    pairs, each with the sum of its counts (exact floats)."""
+    steps, counts = (np.concatenate(column) for column in zip(*pairs))
+    steps, where = np.unique(steps, return_inverse=True)
+    return steps, np.bincount(where, counts)
+
+
 def _parse_rows(text: str) -> np.ndarray:
     """(rows, 2) floats of a run of whole CSV lines; blank lines skip.
 
@@ -798,9 +815,13 @@ def trace_from_csv(text: str) -> RingdownTrace:
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.  No
     time column is kept: each slice's times shrink to the counts of
-    their distinct steps (see _step_counts), and the checks run on the
-    merged counts and the steps between slices.  So beside the caller's
-    text the parse holds the sample array and no other row-sized one.
+    their distinct steps (see _step_counts), which join one running
+    tally with the steps between slices, and the checks run on that
+    tally.  So beside the caller's text the parse holds the sample
+    array and no other row-sized one, and the small arrays it keeps
+    between slices are a few however many slices there are: none of
+    them pins freed slice scratch in the heap, where the bandpass FFT
+    that sets a fit's peak would find it resident.
 
     Raises DomainError for a missing header, a row without exactly 2
     numeric fields, fewer than 2 rows, non-finite times or steps, and
@@ -830,10 +851,14 @@ def trace_from_csv(text: str) -> RingdownTrace:
     while text[stop - 1].isspace():
         stop -= 1
 
-    # the distinct steps of each slice with their counts, and the step
-    # between each two slices with a count of 1; exact: every slice took
-    # _csv_float_pairs
-    finite, exact, counted = True, True, []
+    # exact: every slice took _csv_float_pairs.  tally: the distinct
+    # steps so far with their counts.  pending: each later slice's pair
+    # and the step between two slices with a count of 1, merged into the
+    # tally once they hold more steps than it does, so the tally is a few
+    # small arrays however many slices there are, and each step is sorted
+    # O(log rows) times even when every step is distinct
+    finite, exact = True, True
+    tally, pending, waiting = (np.empty(0), np.empty(0)), [], 0
     while pos < stop:
         end = _LINE_END.search(text, pos + _CSV_SLICE_CHARS, stop)
         end = end.end() if end else len(text)
@@ -846,14 +871,16 @@ def trace_from_csv(text: str) -> RingdownTrace:
         if not values.size:
             continue
         summary = _step_counts(times)
-        if summary is None:
-            finite = False
-        else:
-            counted.append(summary)
-        # Python floats: a step past the float range is inf without a warning
-        if filled:
-            counted.append(([float(times[0]) - last], [1]))
-        else:
+        finite = finite and summary is not None
+        if finite:
+            pending.append(summary)
+            # Python floats: a step past the float range is inf without a warning
+            if filled:
+                pending.append(([float(times[0]) - last], [1]))
+            waiting += summary[0].size + bool(filled)
+            if waiting > tally[0].size:
+                tally, pending, waiting = _merged_steps(tally, *pending), [], 0
+        if not filled:
             start_time = float(times[0])
         last = float(times[-1])
         samples[filled : filled + values.size] = values
@@ -862,13 +889,12 @@ def trace_from_csv(text: str) -> RingdownTrace:
         raise DomainError("trace CSV needs >= 2 rows of time_s,value")
     if not finite:
         raise DomainError("trace times must be finite")
-    steps, counts = (np.concatenate(column) for column in zip(*counted))
-    steps, where = np.unique(steps, return_inverse=True)
+    steps, counts = _merged_steps(tally, *pending)
     if steps[0] <= 0.0:
         raise DomainError("trace times must be strictly increasing")
     # np.median of the filled - 1 steps, bit for bit: the middle one, or
     # the mean of the middle two, which is inf past the float range
-    ranks = np.cumsum(np.bincount(where, counts))
+    ranks = np.cumsum(counts)
     middle = np.searchsorted(ranks, [(filled - 2) // 2, (filled - 1) // 2], side="right")
     below, above = steps[middle].tolist()
     step = above if filled % 2 == 0 else (below + above) / 2

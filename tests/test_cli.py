@@ -503,6 +503,32 @@ def test_arithmetic_and_non_finite_count_errors(argv, code, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assignment, error",
+    [("fiber.radius=1e-300", "ZeroDivisionError"), ("test_mass.mass=1e300", "OverflowError")],
+)
+def test_arithmetic_errors_name_their_inputs(assignment, error, tmp_path, capsys):
+    assert cli.main(["check", "--set", assignment]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"analysis error: {error}: ")
+    assert err.endswith(f" (inputs: --set {assignment})\n")
+    key, value = assignment.split("=")
+    section, field = key.split(".")
+    config = tmp_path / "extreme.yaml"
+    config.write_text(f"{section}:\n  {field}: {value}\n", encoding="utf-8")
+    assert cli.main(["check", "--config", str(config), "--set", "grid.points=300"]) == 4
+    assert capsys.readouterr().err.endswith(
+        f" (inputs: --config {config}, --set grid.points=300)\n"
+    )
+
+
+def test_a_call_given_no_inputs_names_none():
+    assert cli._inputs(cli._parser().parse_args(["check"])) == ""
+    assert cli._inputs(cli._parser().parse_args(["ringdown", "synth", "--out", "-"])) == ""
+    fit = cli._parser().parse_args(["ringdown", "fit", "a.csv", "--f0", "3"])
+    assert cli._inputs(fit) == " (inputs: --set ringdown.f0=3)"
+
+
 def test_readme_python_example_runs():
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)

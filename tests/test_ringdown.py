@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,28 @@ def test_trace_validation():
     assert tr.duration == 0.5
     assert np.array_equal(tr.times, [3.0, 3.25])
     assert not tr.samples.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 5000, -1])
+def test_trace_refuses_a_non_finite_sample_anywhere(bad, at):
+    samples = np.linspace(-1.0, 1.0, 10_000)
+    samples[at] = bad
+    with pytest.raises(DomainError, match="samples must be finite"):
+        rd.RingdownTrace(sample_rate=10.0, samples=samples)
+
+
+def test_trace_check_allocates_no_sample_sized_array():
+    # the bool array of np.isfinite would be an eighth of the samples;
+    # left in the heap under the bandpass FFT it raises a fit's peak
+    samples = np.random.default_rng(1).normal(size=1 << 20)
+    tracemalloc.start()
+    try:
+        rd.RingdownTrace(sample_rate=50.0, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.nbytes / 64
 
 
 def test_synthesize_deterministic():

@@ -570,6 +570,38 @@ def test_step_counts_take_numpy_medians(monkeypatch):
         rd.trace_from_csv(_STEP_TEXTS["outside"]())
 
 
+_DISTINCT_ROWS = 1 << 18
+
+
+@pytest.fixture(scope="module")
+def distinct_steps_text():
+    """A 50 Hz trace whose repr times k 0.02 s + 1e-9 N(0, 1) s make
+    most steps different (56 907 distinct values), all within 1e-6 of
+    the median one."""
+    rng = np.random.default_rng(2026)
+    times = np.arange(_DISTINCT_ROWS) * 0.02 + 1e-9 * rng.standard_normal(_DISTINCT_ROWS)
+    rows = zip(times.tolist(), rng.standard_normal(_DISTINCT_ROWS).tolist())
+    return rd.TRACE_HEADER + "\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows)
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 64])
+def test_distinct_steps_are_tallied_in_linear_work(monkeypatch, distinct_steps_text, slice_chars):
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
+    sizes, merged = [], rd._merged_steps
+
+    def spy(*pairs):
+        sizes.append(sum(len(steps) for steps, _ in pairs))
+        return merged(*pairs)
+
+    monkeypatch.setattr(rd, "_merged_steps", spy)
+    text = distinct_steps_text
+    assert _outcome(rd.trace_from_csv, text) == _outcome(_reference_trace, text)
+    # a step waits for one merge, which takes less than twice what waited,
+    # and the last merge takes the tally and what waits: so the merges
+    # take fewer than four steps per row however many distinct steps there are
+    assert sum(sizes) < 4 * _DISTINCT_ROWS
+
+
 @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["CR", "CRLF"])
 def test_lone_cr_ends_a_slice(monkeypatch, end):
     # about three slices; a slice never ends between "\r" and "\n"

@@ -161,3 +161,15 @@ def test_bandpass_stays_within_its_peak(record_text):
     trace = ringdown.trace_from_csv(record_text)
     _, peak = _traced(ringdown.bandpass, trace, 2.2, 0.5)
     assert peak <= BANDPASS_PEAK * trace.samples.nbytes
+
+
+# tone synthesis evaluates each chunk in its slice of the samples with
+# one scratch chunk beside it (3.3 chunks traced); a chunk that builds
+# its whole expression in temporaries reaches about nine on two workers
+SYNTH_CHUNKS = 5
+
+
+def test_synthesis_computes_its_chunks_in_place(monkeypatch):
+    monkeypatch.setattr(ringdown, "_WORKERS", 2)
+    trace, peak = _traced(ringdown.synthesize_ringdown, 2.2, 2000.0, 50.0, ROWS / 50.0, 1.0, 0.4)
+    assert peak - trace.samples.nbytes <= SYNTH_CHUNKS * ringdown._CHUNK_SAMPLES * 8
