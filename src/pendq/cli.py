@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -51,20 +52,25 @@ EXIT_ANALYSIS = 4
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-# characters per write of a file output: each piece's encoded copy stays
-# below glibc's default 128 KB mmap threshold, so the heap reuses one
-# piece's memory for the next, where a whole day-long record's 132 MB
-# copy (or 1 MB pieces) is mapped and faulted in afresh
+# characters per write of an output, to a file or to stdout: each
+# piece's encoded copy stays below glibc's default 128 KB mmap
+# threshold, so the heap reuses one piece's memory for the next, where a
+# whole day-long record's 132 MB copy (or 1 MB pieces) is mapped and
+# faulted in afresh
 _WRITE_CHARS = 1 << 16
+
+
+def _write_pieces(fh, text: str) -> None:
+    for lo in range(0, len(text), _WRITE_CHARS):
+        fh.write(text[lo : lo + _WRITE_CHARS])
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        _write_pieces(sys.stdout, text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for lo in range(0, len(text), _WRITE_CHARS):
-                fh.write(text[lo : lo + _WRITE_CHARS])
+            _write_pieces(fh, text)
 
 
 # ---------------------------------------------------------------------------
@@ -398,5 +404,18 @@ def main(argv=None) -> int:
         return EXIT_ANALYSIS
 
 
+def run(argv=None) -> int:
+    """`main` for a process that exits when it returns: the `pendq` script
+    and `python -m pendq.cli`.  It freezes the collector on the way out,
+    so the interpreter's last collections skip the ~72 k objects that
+    importing numpy and scipy left behind, and the OS reclaims them.  An
+    in-process caller uses `main`, which leaves the collector alone: a
+    frozen object is never collected again."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

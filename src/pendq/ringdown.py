@@ -16,11 +16,10 @@ chunks on a small thread pool, which each call opens and closes, and
 take the results in order, and the envelope filters its two quadratures
 on one at once, so the output is the same bytes as a serial run's (see
 _in_order).  The trace CSV reader parses its slices in order on the
-calling thread: on a pool they handed the GIL between threads thousands
-of times per day-long record and took about a quarter more CPU to save
-about a fifth of the parse's wall time, which no fit time resolved, and
-the workers' arenas kept about 8 MB of heap resident under the bandpass
-FFT that sets a fit's peak.
+calling thread: a pool would hand the GIL between threads thousands of
+times per day-long record for a wall-time saving no fit time resolves,
+and its workers' arenas would keep about 8 MB of heap resident under
+the bandpass FFT that sets a fit's peak.
 """
 
 from __future__ import annotations
@@ -637,12 +636,10 @@ TRACE_HEADER = "time_s,value"
 # enough that numpy's per-call overhead vanishes, small enough that the
 # temporaries stay a few MB on day-long records.  At 1 << 16 rows the
 # allocator maps and unmaps a chunk's temporaries afresh, and a 24 h
-# record's CSV took twice the page faults of the text itself.  The heap
+# record's CSV takes twice the page faults of the text itself.  The heap
 # keeps about one slice's scratch after the parse, under the bandpass
-# FFT that sets a fit's peak.  While the reader kept a list of per-slice
-# step counts, which pinned more of it, cold fits of a 24 h record
-# peaked at 282-284 MB with 1 << 20 characters, 279-280 MB with 1 << 19
-# and 277-278 MB with 1 << 18, which doubles the numpy calls per byte
+# FFT that sets a fit's peak; a smaller slice keeps less of it but makes
+# more numpy calls per byte
 _CSV_CHUNK_ROWS = 1 << 15
 _CSV_SLICE_CHARS = 1 << 19
 

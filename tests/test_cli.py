@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import gc
 import inspect
 import io
 import json
@@ -424,15 +425,82 @@ def test_config_file_missing(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
+class _Pieces:
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, s):
+        self.pieces.append(s)
+        return len(s)
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._WRITE_CHARS, 3 * cli._WRITE_CHARS + 5])
+def test_stdout_gets_the_text_in_pieces_like_a_file(n, monkeypatch):
+    # one write would encode a second whole copy of a day-long record
+    text = "".join(random.Random(n).choices("0123456789.,e-\n", k=n))
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._write_text("-", text)
+    assert all(len(piece) <= cli._WRITE_CHARS for piece in stdout.pieces)
+    assert "".join(stdout.pieces) == text
+    assert len(stdout.pieces) == -(-n // cli._WRITE_CHARS)
+
+
+# ---------------------------------------------------------------------------
+# the process entry points: run freezes the collector, main leaves it alone
+# ---------------------------------------------------------------------------
+
+def test_both_process_entry_points_call_run():
+    assert "sys.exit(run())" in Path(cli.__file__).read_text()
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    assert 'pendq = "pendq.cli:run"' in pyproject.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["check"], 0), (["check", "--set", "fiber.radius=1e-300"], 4)],
+    ids=["pass", "analysis-error"],
+)
+def test_main_leaves_the_collector_as_it_was(argv, code, capsys):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_returns_main_and_freezes_on_every_way_out(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    assert cli.run(["check", "--set", "cavity.trap_power=0.001"]) == 1
+    assert frozen == [True]
+    with pytest.raises(SystemExit):  # argparse exits on an unknown command
+        cli.run(["no-such-command"])
+    assert frozen == [True, True]
+    capsys.readouterr()
+
+
+# argv and exit code of calls that `python -m pendq.cli` makes in a fresh process
+FRESH_CALLS = {
+    "check-pass": (["check"], 0),
+    "check-fail": (["check", "--set", "cavity.trap_power=0.001"], 1),
+    "budget-file": (["budget", "--format", "json", "--out", "{out}"], 0),
+    "fixture-fit": (["ringdown", "fit", str(FIXTURE)], 0),
+}
+
+
+@pytest.mark.parametrize("case", FRESH_CALLS)
+def test_fresh_process_matches_in_process_main(case, tmp_path, capsys):
+    warm, fresh = tmp_path / "warm.out", tmp_path / "fresh.out"
+    argv, code = FRESH_CALLS[case]
+    assert cli.main([a.format(out=warm) for a in argv]) == code
+    out = capsys.readouterr().out.encode()
     proc = subprocess.run(
-        [sys.executable, "-m", "pendq.cli", "check"],
-        capture_output=True,
-        text=True,
-        timeout=300,
+        [sys.executable, "-m", "pendq.cli", *[a.format(out=fresh) for a in argv]],
+        capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
     )
-    assert proc.returncode == 0
-    assert "overall:     pass" in proc.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, b"")
+    if "{out}" in argv:
+        assert fresh.read_bytes() == warm.read_bytes()
 
 
 @pytest.mark.parametrize(

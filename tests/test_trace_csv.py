@@ -79,6 +79,8 @@ def _reference_trace(text: str) -> rd.RingdownTrace:
         raise DomainError("row") from exc
     if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] < 2:
         raise DomainError("shape")
+    if not np.all(np.isfinite(rows[:, 0])):
+        raise DomainError("times")
     dt = np.diff(rows[:, 0])
     if np.any(dt <= 0.0):
         raise DomainError("order")
@@ -272,6 +274,9 @@ _TOKENS = ["0", "1", "2", "0.5", "-1", "1e0", "1_0", "nan", "inf", " ", "\t", ",
 )
 # U+001F ends the last row, and a slice of whitespace follows it
 @example("", "time_s,value", "\n", ["\x1f", "\n", " "], 3)
+# an infinite time: one row, and two rows whose step is inf - inf
+@example("", "time_s,value", "\n", ["\n", "inf", ",", "0"], rd._CSV_SLICE_CHARS)
+@example("", "time_s,value", "\n", ["\n", "inf", ",", "0"] * 2, rd._CSV_SLICE_CHARS)
 def test_trace_from_csv_matches_per_line_reference(prefix, header, end, tokens, slice_chars):
     rows = "\n".join(f"{k * 0.25},{k}" for k in range(4))
     text = prefix + header + end + rows + "".join(tokens)
