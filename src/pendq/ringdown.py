@@ -139,7 +139,11 @@ class RingdownTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
+        return self._times(0, self.samples.size)
+
+    def _times(self, lo: int, hi: int, step: int = 1) -> np.ndarray:
+        """The times of samples lo, lo + step, ... below hi."""
+        return self.start_time + np.arange(lo, hi, step) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -307,15 +311,13 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
             f"(+{edge} Hz edges) exceeds Nyquist {nyquist} Hz"
         )
     n = trace.samples.size
-    freqs = np.fft.rfftfreq(n, d=1.0 / trace.sample_rate)
-    # the gain is nonzero only on the band and its edges; 2 bins more on
-    # each side keep a rounding of the bounds from cutting a bin off
-    lo = max(int(np.searchsorted(freqs, f_center - bandwidth / 2.0 - edge)) - 2, 0)
-    hi = int(np.searchsorted(freqs, f_center + bandwidth / 2.0 + edge, side="right")) + 2
-    df = np.abs(freqs[lo:hi] - f_center)
-    # the band's bins are all the spectrum below needs: freeing the
-    # half-record of frequencies keeps it out from under the FFT's peak
-    del freqs
+    # bin k sits at k * step Hz, the value np.fft.rfftfreq gives it.  The
+    # gain is nonzero only on the band and its edges; 2 bins more on each
+    # side keep a rounding of the bounds from cutting a bin off
+    step = 1.0 / (n * (1.0 / trace.sample_rate))
+    lo = max(int((f_center - bandwidth / 2.0 - edge) / step) - 2, 0)
+    hi = min(int((f_center + bandwidth / 2.0 + edge) / step) + 3, n // 2 + 1)
+    df = np.abs(np.arange(lo, hi) * step - f_center)
     gain = np.zeros_like(df)
     inside = df <= bandwidth / 2.0
     gain[inside] = 1.0
@@ -337,19 +339,16 @@ def bandpass(trace: RingdownTrace, f_center: float, bandwidth: float) -> Ringdow
     )
 
 
-def _filtfilt_edge(sos: np.ndarray) -> int:
-    """Samples signal.sosfiltfilt pads each end with by default."""
-    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
-    return 3 * int(ntaps)
-
-
 @functools.lru_cache(maxsize=16)
-def _lowpass(corner: float, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """The envelope's 4th-order Butterworth low-pass as sos, and its
-    signal.sosfilt_zi, designed once per (corner, rate).  The arrays are
+def _lowpass(corner: float, rate: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The envelope's 4th-order Butterworth low-pass as sos, its
+    signal.sosfilt_zi and the samples signal.sosfiltfilt pads each end
+    with by default, designed once per (corner, rate).  The arrays are
     shared between calls and threads, so nothing may write to them."""
     sos = signal.butter(4, corner, btype="low", fs=rate, output="sos")
-    return sos, signal.sosfilt_zi(sos)
+    # no section of a Butterworth low-pass has a zero b2 or a2, so the
+    # pad is sosfiltfilt's 3 * (2 * sections + 1)
+    return sos, signal.sosfilt_zi(sos), 3 * (2 * len(sos) + 1)
 
 
 def _filtfilt_every(
@@ -388,15 +387,14 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     nyquist = trace.sample_rate / 2.0
     if f0 >= nyquist / 2.0:
         raise DomainError(f"f0 = {f0} Hz must be below half-Nyquist {nyquist / 2.0} Hz")
-    samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
+    samples, rate = trace.samples, trace.sample_rate
     n = samples.size
     w = 2.0 * math.pi * f0
     corner = f0 / 4.0
-    sos, zi = _lowpass(corner, rate)
+    sos, zi, edge = _lowpass(corner, rate)
     # decimate to the lowpass corner rate so samples are near-independent,
     # which keeps the binned standard errors honest
     step = max(1, int(rate / corner))
-    edge = _filtfilt_edge(sos)
     if n <= edge:
         raise ShapeError(f"envelope needs more than {edge} samples, got {n}")
 
@@ -404,16 +402,15 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
         ext = np.empty(n + 2 * edge)
         for lo in range(0, n, _CHUNK_SAMPLES):
             hi = min(lo + _CHUNK_SAMPLES, n)
-            # the same expression as trace.times, evaluated for this chunk only
-            t = start + np.arange(lo, hi) / rate
-            np.multiply(samples[lo:hi], wave(w * t), out=ext[edge + lo : edge + hi])
+            np.multiply(samples[lo:hi], wave(w * trace._times(lo, hi)),
+                        out=ext[edge + lo : edge + hi])
         return _filtfilt_every(sos, ext, edge, step, zi)
 
     # numpy and sosfilt release the GIL, so on a record of more than one
     # chunk the two quadratures run on the pool at once
     chains = map if n <= _CHUNK_SAMPLES else _in_order
     i_lp, q_lp = chains(quadrature, (np.cos, np.sin))
-    return start + np.arange(0, n, step) / rate, 2.0 * np.hypot(i_lp, q_lp)
+    return trace._times(0, n, step), 2.0 * np.hypot(i_lp, q_lp)
 
 
 def bin_average(times, amplitudes, bin_seconds: float) -> BinnedEnvelope:
@@ -652,15 +649,12 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     str it returns, which grows in place (see _append_in_place), so the
     whole text is held once.
     """
-    samples, rate, start = trace.samples, trace.sample_rate, trace.start_time
-
     def rows(lo: int) -> str:
-        values = samples[lo : lo + _CSV_CHUNK_ROWS]
-        # the same expression as trace.times, evaluated for this chunk only
-        times = start + np.arange(lo, lo + values.size) / rate
+        values = trace.samples[lo : lo + _CSV_CHUNK_ROWS]
+        times = trace._times(lo, lo + values.size)
         return codecs.decode(_csv_rows([times, values], "\n"), "ascii")
 
-    chunks = _in_order(rows, range(0, samples.size, _CSV_CHUNK_ROWS))
+    chunks = _in_order(rows, range(0, trace.samples.size, _CSV_CHUNK_ROWS))
     return _append_in_place(TRACE_HEADER + "\n", chunks)
 
 
@@ -812,9 +806,9 @@ def trace_from_csv(text: str) -> RingdownTrace:
     every value is bit-identical to float() of its field, and the
     accepted syntax and the errors are those of the per-line parse.  No
     time column is kept: each slice's times shrink to the counts of
-    their distinct steps (see _step_counts), which join one running
-    tally with the steps between slices, and the checks run on that
-    tally.  So beside the caller's text the parse holds the sample
+    their distinct steps from the last time before the slice (see
+    _step_counts), which join one running tally, and the checks run on
+    that tally.  So beside the caller's text the parse holds the sample
     array and no other row-sized one, and the small arrays it keeps
     between slices are a few however many slices there are: none of
     them pins freed slice scratch in the heap, where the bandpass FFT
@@ -849,11 +843,12 @@ def trace_from_csv(text: str) -> RingdownTrace:
         stop -= 1
 
     # exact: every slice took _csv_float_pairs.  tally: the distinct
-    # steps so far with their counts.  pending: each later slice's pair
-    # and the step between two slices with a count of 1, merged into the
-    # tally once they hold more steps than it does, so the tally is a few
-    # small arrays however many slices there are, and each step is sorted
-    # O(log rows) times even when every step is distinct
+    # steps so far with their counts.  pending: each slice's pair, whose
+    # steps start from the last time before the slice, so the step across
+    # a slice edge is one of them; merged into the tally once they hold
+    # more steps than it does, so the tally is a few small arrays however
+    # many slices there are, and each step is sorted O(log rows) times
+    # even when every step is distinct
     finite, exact = True, True
     tally, pending, waiting = (np.empty(0), np.empty(0)), [], 0
     while pos < stop:
@@ -867,14 +862,11 @@ def trace_from_csv(text: str) -> RingdownTrace:
         times, values = columns
         if not values.size:
             continue
-        summary = _step_counts(times)
+        summary = _step_counts(np.concatenate(([last], times)) if filled else times)
         finite = finite and summary is not None
         if finite:
             pending.append(summary)
-            # Python floats: a step past the float range is inf without a warning
-            if filled:
-                pending.append(([float(times[0]) - last], [1]))
-            waiting += summary[0].size + bool(filled)
+            waiting += summary[0].size
             if waiting > tally[0].size:
                 tally, pending, waiting = _merged_steps(tally, *pending), [], 0
         if not filled:

@@ -15,13 +15,22 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pendq import budget, cli
 from pendq.cavity import effective_requirements
 from pendq import ringdown as ringdown_mod
-from pendq.config import PAPER_PRESET, load_config, paper_preset
-from pendq.core import DomainError
+from pendq.config import (
+    PAPER_PRESET,
+    build_config,
+    load_config,
+    load_raw,
+    paper_preset,
+    set_numeric,
+)
+from pendq.core import _CSV_FLOAT, DomainError
+from pendq.suspension import measurement_band_edge, pendulum_mode, violin_modes
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -353,6 +362,35 @@ def test_sweep_q_ideal_scaling(tmp_path):
         assert math.isclose(q1 / q2, (r2 / r1) ** 2, rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("metric", ["eq2_edge_hz", "f_violin1"])
+def test_sweep_mode_metrics_match_each_rows_model(metric, tmp_path):
+    # the fiber length moves the pendulum frequency, and with it the band
+    # edge, under the preset's measured Q, which takes no null
+    out = tmp_path / "sweep.csv"
+    assert cli.main(
+        ["sweep", "--param", "fiber.length", "--from", "0.0125", "--to", "0.1",
+         "--steps", "4", "--log", "--metric", metric, "--out", str(out)]
+    ) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"fiber.length,{metric}"
+    expected = []
+    for length in np.geomspace(0.0125, 0.1, 4):
+        raw = load_raw(None)
+        set_numeric(raw, "fiber.length", float(length))
+        model = build_config(raw).model
+        if metric == "eq2_edge_hz":
+            mode = pendulum_mode(model)
+            value = measurement_band_edge(
+                mode.frequency, mode.quality_factor, model.env.temperature
+            )
+        else:
+            value = violin_modes(model, 1)[0].frequency_hz
+        expected.append(_CSV_FLOAT % value)
+    cells = [ln.split(",")[1] for ln in lines[1:]]
+    assert cells == expected
+    assert len(set(cells)) == 4
+
+
 def test_sweep_writes_nan_where_there_is_no_band(tmp_path):
     # above about 1e4 K the thermal noise never dips below the SQL
     out = tmp_path / "sweep.csv"
@@ -638,6 +676,10 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         (["check", "--config", "{dir}/utf16.yaml"], "utf16.yaml: not UTF-8 text"),
         (["budget", "--format", "svg", "--overlay", "{dir}/utf16.csv", "--out", "-"],
          "utf16.csv: not UTF-8 text"),
+        (["budget", "--format", "svg", "--overlay", "{dir}/one-cell.csv", "--out", "-"],
+         "overlay row needs mass_kg,dissipation_per_s: '1e-9'"),
+        (["budget", "--format", "svg", "--overlay", "{dir}/word.csv", "--out", "-"],
+         "malformed overlay row '1e-9,fast': could not convert string to float: 'fast'"),
         (["sweep", "--param", "fiber.radius", "--from", "1e-7", "--to", "1e-6",
           "--steps", "1000000000000000000", "--metric", "q_ideal", "--out", "{dir}/s.csv"],
          "--steps must be <= 10000, got 1000000000000000000"),
@@ -645,10 +687,13 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
           "--steps", "10001", "--metric", "q_ideal", "--out", "{dir}/s.csv"],
          "--steps must be <= 10000, got 10001"),
     ],
-    ids=["yaml-file", "yaml-set", "utf16-config", "utf16-overlay", "steps-1e18", "steps-10001"],
+    ids=["yaml-file", "yaml-set", "utf16-config", "utf16-overlay", "overlay-one-cell",
+         "overlay-word", "steps-1e18", "steps-10001"],
 )
 def test_malformed_config_inputs_exit_2(argv, message, tmp_path, capsys):
     (tmp_path / "flow.yaml").write_text("fiber:\n  radius: [1\n")
+    (tmp_path / "one-cell.csv").write_text("mass_kg,dissipation_per_s\n1e-9\n")
+    (tmp_path / "word.csv").write_text("mass_kg,dissipation_per_s\n1e-9,fast\n")
     (tmp_path / "utf16.yaml").write_bytes(b"\xff\xfe" + "fiber: {}\n".encode("utf-16-le"))
     (tmp_path / "utf16.csv").write_bytes(
         b"\xff\xfe" + "mass_kg,dissipation_per_s\n1e-9,1e-2\n".encode("utf-16-le")

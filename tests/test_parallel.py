@@ -424,7 +424,7 @@ def _lowpass(f0, rate):
                                   "2chunks+1", "3chunks+17"])
 def test_filtfilt_every_matches_sosfiltfilt(f0, rate, size):
     sos, step = _lowpass(f0, rate)
-    edge = rd._filtfilt_edge(sos)
+    edge = rd._lowpass(f0 / 4.0, rate)[2]
     chunk = rd._CHUNK_SAMPLES
     n = {"edge+1": edge + 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1,
          "2chunks-1": 2 * chunk - 1, "2chunks+1": 2 * chunk + 1,
@@ -467,8 +467,7 @@ def test_envelope_low_pass_cache_is_keyed_on_corner_and_rate():
 
 
 def test_envelope_refuses_a_record_shorter_than_the_filter_padding():
-    sos, _ = _lowpass(2.2, 50.0)
-    edge = rd._filtfilt_edge(sos)
+    edge = rd._lowpass(2.2 / 4.0, 50.0)[2]
     with pytest.raises(ShapeError, match=f"more than {edge} samples, got {edge}"):
         rd.envelope(rd.RingdownTrace(50.0, np.ones(edge)), 2.2)
     assert rd.envelope(rd.RingdownTrace(50.0, np.ones(edge + 1)), 2.2)[1].size == 1

@@ -123,6 +123,42 @@ def test_bandpass_gains():
     assert filtered.samples.size == n
 
 
+def _reference_bandpass(trace, f_center, bandwidth):
+    """bandpass with its bins picked from np.fft.rfftfreq by searchsorted."""
+    n = trace.samples.size
+    edge = bandwidth / 10.0
+    freqs = np.fft.rfftfreq(n, d=1.0 / trace.sample_rate)
+    lo = max(int(np.searchsorted(freqs, f_center - bandwidth / 2.0 - edge)) - 2, 0)
+    hi = int(np.searchsorted(freqs, f_center + bandwidth / 2.0 + edge, side="right")) + 2
+    df = np.abs(freqs[lo:hi] - f_center)
+    gain = np.zeros_like(df)
+    inside = df <= bandwidth / 2.0
+    gain[inside] = 1.0
+    on_edge = (~inside) & (df <= bandwidth / 2.0 + edge)
+    gain[on_edge] = 0.5 * (1.0 + np.cos(math.pi * (df[on_edge] - bandwidth / 2.0) / edge))
+    spectrum = np.fft.rfft(trace.samples)
+    spectrum[lo:hi] *= gain
+    spectrum[:lo] *= 0.0
+    spectrum[hi:] *= 0.0
+    return np.fft.irfft(spectrum, n=n)
+
+
+@pytest.mark.parametrize("rate", [9.3, 20.0, 50.0, 1000.0])
+@pytest.mark.parametrize("n", [2000, 2001])
+@pytest.mark.parametrize("band", ["inner", "at-nyquist"])
+def test_bandpass_matches_bins_picked_from_rfftfreq(rate, n, band):
+    nyquist = rate / 2.0
+    if band == "inner":
+        f_center, bandwidth = 0.1234 * rate, 0.0123 * rate
+    else:
+        bandwidth = nyquist / 5.0
+        f_center = nyquist - bandwidth / 2.0 - bandwidth / 10.0
+        assert f_center + bandwidth / 2.0 + bandwidth / 10.0 == nyquist
+    trace = rd.RingdownTrace(rate, np.random.default_rng(n).standard_normal(n))
+    got = rd.bandpass(trace, f_center, bandwidth).samples
+    assert got.tobytes() == _reference_bandpass(trace, f_center, bandwidth).tobytes()
+
+
 def test_bandpass_validation():
     tr = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 60.0)
     with pytest.raises(DomainError):
