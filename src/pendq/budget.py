@@ -190,8 +190,7 @@ def mirror_thermal_asd(
     _require_positive("temperature", temperature)
     if not 0.0 <= poisson_ratio < 0.5:
         raise DomainError(f"poisson_ratio must be in [0, 0.5), got {poisson_ratio}")
-    w = _require_positive("beam_radius", test_mass.beam_radius)
-    phi_sub = _require_positive("substrate_loss_angle", test_mass.substrate_loss_angle)
+    w, phi_sub = test_mass.beam_radius, test_mass.substrate_loss_angle  # TestMass checked both
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
     coating_factor = 1.0 + (

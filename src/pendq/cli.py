@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import inspect
 import json
 import math
 import sys
@@ -176,16 +177,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ringdown_synth(args) -> int:
-    trace = ringdown_mod.synthesize_ringdown(
-        f0=args.f0,
-        q=args.q,
-        sample_rate=args.sample_rate,
-        duration=args.duration,
-        amplitude=args.amplitude,
-        noise_rms=args.noise_rms,
-        seed=args.seed,
-        drift_uhz=args.drift_uhz,
-    )
+    # an option that is not given is absent from args (SUPPRESS), so the
+    # function's own default applies
+    synth = ringdown_mod.synthesize_ringdown
+    trace = synth(**{k: getattr(args, k) for k in inspect.signature(synth).parameters if k in args})
     _write_text(args.out, ringdown_mod.trace_to_csv(trace))
     return EXIT_OK
 
@@ -345,10 +340,11 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", type=float, default=2000.0, help="quality factor")
     ps.add_argument("--sample-rate", type=float, default=50.0, help="[Hz]")
     ps.add_argument("--duration", type=float, default=240.0, help="[s]")
-    ps.add_argument("--amplitude", type=float, default=1.0)
-    ps.add_argument("--noise-rms", type=float, default=0.0)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--drift-uhz", type=float, default=None, help="slow frequency wander RMS")
+    ps.add_argument("--amplitude", type=float, default=argparse.SUPPRESS)
+    ps.add_argument("--noise-rms", type=float, default=argparse.SUPPRESS)
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    ps.add_argument("--drift-uhz", type=float, default=argparse.SUPPRESS,
+                    help="slow frequency wander RMS")
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_ringdown_synth)
 

@@ -71,7 +71,7 @@ PAPER_PRESET: dict[str, Any] = {
 }
 
 # numbers that may be set to null; a None preset value is one as well
-_NULLABLE = ("material.measured_q",)
+_NULLABLE = ("material.measured_q", "suspension.measured_pendulum_q")
 
 
 def _copy_sections(section: dict) -> dict:
@@ -244,9 +244,7 @@ def load_raw(path: str | None, overrides: list[str] | None = None) -> dict:
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             user = _load_yaml(fh, path)
-        if user is None:
-            user = {}
-        if not isinstance(user, dict):
+        if user is not None and not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
     raw = merge_config(user)
     for assignment in overrides or []:

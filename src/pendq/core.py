@@ -125,9 +125,7 @@ class Material:
             q_ref, r_ref = self.surface_q_reference
             _require_positive("surface_q_reference Q", q_ref)
             _require_positive("surface_q_reference radius", r_ref)
-        if self.measured_q is not None:
-            _require_positive("measured_q", self.measured_q)
-        for attr in ("thermal_expansion", "specific_heat", "thermal_conductivity"):
+        for attr in ("measured_q", "thermal_expansion", "specific_heat", "thermal_conductivity"):
             value = getattr(self, attr)
             if value is not None:
                 _require_positive(attr, value)

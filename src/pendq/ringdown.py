@@ -836,8 +836,8 @@ def trace_from_csv(text: str) -> RingdownTrace:
     # the pages past the last row are never touched
     samples = np.empty((len(text) - pos) // 4 + 2)
     filled = 0
-    # the last slice holds the last non-whitespace character and runs to
-    # the end; the whitespace after it is no part of the last row
+    # the last slice ends at the last non-whitespace character, and the
+    # whitespace after it is no part of the last row
     stop = len(text)
     while text[stop - 1].isspace():
         stop -= 1
@@ -853,12 +853,14 @@ def trace_from_csv(text: str) -> RingdownTrace:
     tally, pending, waiting = (np.empty(0), np.empty(0)), [], 0
     while pos < stop:
         end = _LINE_END.search(text, pos + _CSV_SLICE_CHARS, stop)
-        end = end.end() if end else len(text)
-        part, pos = text[pos:end], end
+        if end:
+            part, pos = text[pos : end.end()], end.end()
+        else:  # the last slice: its row ends as trace_to_csv ends one
+            part, pos = text[pos:stop] + "\n", stop
         columns = _csv_float_pairs(part)
         if columns is None:
             exact = False
-            columns = _parse_rows(part.rstrip() if pos == len(text) else part).T
+            columns = _parse_rows(part).T
         times, values = columns
         if not values.size:
             continue

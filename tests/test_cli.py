@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import dataclasses
 import gc
 import inspect
 import io
@@ -391,6 +392,38 @@ def test_sweep_mode_metrics_match_each_rows_model(metric, tmp_path):
     assert len(set(cells)) == 4
 
 
+def _unmeasured(model):
+    """The edge of Eq. (2) where the pendulum Q is the diluted model's."""
+    mode = pendulum_mode(dataclasses.replace(model, measured_pendulum_q=None))
+    return measurement_band_edge(mode.frequency, mode.quality_factor, model.env.temperature)
+
+
+def test_check_takes_a_null_measured_pendulum_q(capsys):
+    assert cli.main(["check", "--set", "suspension.measured_pendulum_q=null"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["eq2_edge_hz"] == _unmeasured(load_config().model) == 90.56353008943381
+
+
+def test_sweep_reaches_the_diluted_pendulum_q(tmp_path):
+    # under the measured Q the edge does not move with the fiber radius;
+    # under the diluted one it does
+    out = tmp_path / "sweep.csv"
+    assert cli.main(
+        ["sweep", "--param", "fiber.radius", "--from", "0.5e-6", "--to", "4e-6",
+         "--steps", "4", "--log", "--metric", "eq2_edge_hz",
+         "--set", "suspension.measured_pendulum_q=null", "--out", str(out)]
+    ) == 0
+    expected = []
+    for radius in np.geomspace(0.5e-6, 4e-6, 4):
+        raw = load_raw(None)
+        set_numeric(raw, "fiber.radius", float(radius))
+        expected.append(_CSV_FLOAT % _unmeasured(build_config(raw).model))
+    cells = [ln.split(",")[1] for ln in out.read_text().splitlines()[1:]]
+    assert cells == expected
+    assert len(set(cells)) == 4
+
+
 def test_sweep_writes_nan_where_there_is_no_band(tmp_path):
     # above about 1e4 K the thermal noise never dips below the SQL
     out = tmp_path / "sweep.csv"
@@ -752,6 +785,22 @@ def test_ringdown_fit_options_are_the_ringdown_section_and_refine():
     for flag, key in shorthands.items():
         args = parser.parse_args(["ringdown", "fit", "x.csv", flag, "1"])
         assert args.ringdown_set == [f"ringdown.{key}=1"]
+
+
+def test_ringdown_synth_options_are_synthesize_ringdowns_parameters(tmp_path):
+    synth = cli._parser()
+    for name in ("ringdown", "synth"):
+        subparsers = next(a for a in synth._actions if isinstance(a, argparse._SubParsersAction))
+        synth = subparsers.choices[name]
+    parameters = inspect.signature(ringdown_mod.synthesize_ringdown).parameters
+    assert set(parameters) <= {action.dest for action in synth._actions}
+    # an optional flag not given takes the function's own default; the
+    # noise makes the seed's default show
+    out = tmp_path / "trace.csv"
+    for flags, noise in (([], {}), (["--noise-rms", "0.4"], {"noise_rms": 0.4})):
+        assert cli.main(["ringdown", "synth", *flags, "--out", str(out)]) == 0
+        trace = ringdown_mod.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, **noise)
+        assert out.read_bytes() == ringdown_mod.trace_to_csv(trace).encode("ascii")
 
 
 def test_ringdown_section_keys_are_measure_q_parameters():

@@ -324,6 +324,7 @@ KINDS = {
     "grid.points": "integer",
     "suspension.violin_modes": "integer",
     "material.measured_q": "number-or-null",
+    "suspension.measured_pendulum_q": "number-or-null",
     "test_mass.attachment_offset": "number-or-null",
 }
 

@@ -71,7 +71,8 @@ def _reference_trace(text: str) -> rd.RingdownTrace:
     if not lines or lines[0].strip() != rd.TRACE_HEADER:
         raise DomainError("header")
     rest = text.lstrip()
-    body = rest[len(rest.splitlines(keepends=True)[0]) :]
+    # the body runs to its last non-whitespace character, which ends a row
+    body = rest[len(rest.splitlines(keepends=True)[0]) :].rstrip() + "\n"
     exact = all(_CANONICAL_ROW.fullmatch(row) for row in body.splitlines(keepends=True))
     try:
         rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float)
@@ -429,6 +430,38 @@ def test_synth_records_read_back_at_any_rate(sample_rate):
         rd.trace_from_csv("".join(lines[:1000] + lines[1001:]))
     with pytest.raises(DomainError, match="uniformly sampled"):
         rd.trace_from_csv(text.replace("\n", "\r\n"))
+
+
+_TAILS = {
+    "LF": lambda text: text + "\n",
+    "space": lambda text: text + " ",
+    "LF-LF": lambda text: text + "\n\n",
+    "US": lambda text: text[:-1] + "\x1f",
+    "no-final-end": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("slice_chars", [rd._CSV_SLICE_CHARS, 1000, 1])
+@pytest.mark.parametrize("tail", _TAILS.values(), ids=_TAILS.keys())
+def test_whitespace_after_the_last_row_keeps_the_exact_path(slice_chars, tail):
+    # 30 Hz needs the 9-digit rounding allowance, which only rows all read
+    # by _csv_float_pairs get; an editor's final newline must not cost it
+    text = rd.trace_to_csv(rd.synthesize_ringdown(2.2, 2000.0, 30.0, 240.0, noise_rms=0.1))
+    with _slice_chars(slice_chars):
+        untouched = _outcome(rd.trace_from_csv, text)
+        assert untouched != "DomainError"
+        assert _outcome(rd.trace_from_csv, tail(text)) == untouched
+        assert _outcome(_reference_trace, tail(text)) == untouched
+
+
+def test_blank_line_between_rows_leaves_the_exact_path():
+    text = rd.trace_to_csv(rd.synthesize_ringdown(2.2, 2000.0, 30.0, 240.0, noise_rms=0.1))
+    header, *rows = text.splitlines(keepends=True)
+    after_header = header + "\n" + "".join(rows)
+    between_rows = header + "".join(rows[:100]) + "\n" + "".join(rows[100:])
+    for edited in (after_header, between_rows):
+        with pytest.raises(DomainError, match="uniformly sampled"):
+            rd.trace_from_csv(edited)
 
 
 def test_long_record_reads_back_at_its_rate():
