@@ -234,11 +234,9 @@ def quantum_noise_asd(cavity: Cavity, mass: float, grid_hz) -> NoiseSpectrum:
     suppresses it, and the probe sets the quantum noise here.
     """
     _require_positive("mass", mass)
-    if cavity.probe_power == 0.0:
-        raise DomainError("zero probe power gives infinite shot noise")
+    s_f = radiation_pressure_force_psd(cavity)
     grid = _checked_grid(grid_hz)
     omega = 2.0 * math.pi * grid
-    s_f = radiation_pressure_force_psd(cavity)
     s_shot = CONST.hbar**2 / s_f
     with _unchecked_arithmetic():
         s_rp = s_f / (mass**2 * omega**4)

@@ -221,7 +221,8 @@ def radiation_pressure_force_psd(cavity: Cavity) -> float:
       S_F = 2 hbar omega_L / c^2 * (2F/pi)^2 * 4 eta P_probe
           = 32 hbar omega_L F^2 eta P_probe / (pi^2 c^2)
     """
-    _require_positive("probe_power", cavity.probe_power)
+    if cavity.probe_power == 0.0:  # Cavity refuses a negative one
+        raise DomainError("zero probe power gives infinite shot noise")
     return (
         32.0
         * CONST.hbar

@@ -185,10 +185,19 @@ def cmd_ringdown_synth(args) -> int:
     return EXIT_OK
 
 
+def _read_trace(path: str) -> ringdown_mod.RingdownTrace:
+    # the file's text is freed when this returns, before the next is read
+    text = ringdown_mod._read_text(path)
+    try:
+        return ringdown_mod.trace_from_csv(text)
+    except DomainError as exc:
+        raise DomainError(f"{exc} (in {path})") from exc
+
+
 def cmd_ringdown_fit(args) -> int:
     # the fit flags apply after every --set, so a flag wins in either argv order
     cfg = load_config(args.config, [*args.set, *args.ringdown_set])
-    traces = [ringdown_mod.trace_from_csv(ringdown_mod._read_text(path)) for path in args.traces]
+    traces = [_read_trace(path) for path in args.traces]
     fit = ringdown_mod.measure_q(traces, **cfg.ringdown, refine=args.refine)
     _write_text(args.out, ringdown_mod.fit_to_json(fit))
     return EXIT_OK
@@ -392,11 +401,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DomainError, ShapeError, FitError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except (ArithmeticError, MemoryError) as exc:  # extreme inputs overflow or exhaust memory
-        print(f"analysis error: {type(exc).__name__}: {exc}{_inputs(args)}", file=sys.stderr)
+    except (DomainError, ShapeError, FitError, ArithmeticError, MemoryError) as exc:
+        # extreme inputs overflow or exhaust memory: those errors are named by type
+        kind = f"{type(exc).__name__}: " if isinstance(exc, (ArithmeticError, MemoryError)) else ""
+        print(f"analysis error: {kind}{exc}{_inputs(args)}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

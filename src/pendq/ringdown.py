@@ -204,6 +204,20 @@ class RingdownFit:
 # Synthesis
 # ---------------------------------------------------------------------------
 
+# the fit's record rules, which synthesis applies too, so that every
+# record it writes can be fitted
+def _require_rate(sample_rate: float, f0: float) -> None:
+    if sample_rate <= 4.0 * f0:  # the envelope low-passes at f0/4
+        raise DomainError(f"sample_rate {sample_rate} Hz under-samples f0 = {f0} Hz "
+                          "(the fit's envelope needs > 4 f0)")
+
+
+def _require_cycles(duration: float, f0: float) -> None:
+    if duration * f0 < MIN_CYCLES:
+        raise DomainError(f"record holds {duration * f0:.1f} cycles of {f0} Hz, "
+                          f"need >= {MIN_CYCLES:g}")
+
+
 def synthesize_ringdown(
     f0: float,
     q: float,
@@ -234,15 +248,8 @@ def synthesize_ringdown(
         _require_nonnegative("drift_uhz", drift_uhz)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed!r}")
-    if sample_rate <= 4.0 * f0:
-        raise DomainError(
-            f"sample_rate {sample_rate} Hz under-samples f0 = {f0} Hz "
-            "(the fit's envelope needs > 4 f0)"
-        )
-    if duration * f0 < MIN_CYCLES:
-        raise DomainError(
-            f"record holds {duration * f0:.1f} cycles, need >= {MIN_CYCLES:g}"
-        )
+    _require_rate(sample_rate, f0)
+    _require_cycles(duration, f0)
     if duration * sample_rate > MAX_SYNTH_SAMPLES:
         raise DomainError(
             f"record holds {duration * sample_rate:.4g} samples, "
@@ -384,9 +391,7 @@ def envelope(trace: RingdownTrace, f0: float) -> tuple[np.ndarray, np.ndarray]:
     which is what makes the pipeline insensitive to slow drift.
     """
     _require_positive("f0", f0)
-    nyquist = trace.sample_rate / 2.0
-    if f0 >= nyquist / 2.0:
-        raise DomainError(f"f0 = {f0} Hz must be below half-Nyquist {nyquist / 2.0} Hz")
+    _require_rate(trace.sample_rate, f0)
     samples, rate = trace.samples, trace.sample_rate
     n = samples.size
     w = 2.0 * math.pi * f0
@@ -600,11 +605,7 @@ def measure_q(
     shift = _rescaling(traces)
     all_t, all_a = [], []
     for trace in traces:
-        if trace.duration * f0 < MIN_CYCLES:
-            raise DomainError(
-                f"trace holds {trace.duration * f0:.1f} cycles of {f0} Hz, "
-                f"need >= {MIN_CYCLES:g}"
-            )
+        _require_cycles(trace.duration, f0)
         if shift:
             trace = RingdownTrace(trace.sample_rate, np.ldexp(trace.samples, shift),
                                   trace.start_time)

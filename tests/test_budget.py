@@ -242,6 +242,21 @@ def test_quantum_noise_requires_probe():
         bud.quantum_noise_asd(cavity, 7e-6, GRID)
 
 
+def test_zero_probe_power_is_refused_alike_by_the_noise_and_its_force():
+    dark = cav.Cavity(round_trip_length=0.1, finesse=5000.0, wavelength=1.064e-6)
+    refusal = "zero probe power gives infinite shot noise"
+    with pytest.raises(DomainError) as noise:
+        bud.quantum_noise_asd(dark, 7e-6, GRID)
+    with pytest.raises(DomainError) as force:
+        cav.radiation_pressure_force_psd(dark)
+    assert str(noise.value) == str(force.value) == refusal
+    # the mass is checked first and the grid last, as before
+    with pytest.raises(DomainError, match="mass must be > 0"):
+        bud.quantum_noise_asd(dark, 0.0, GRID)
+    with pytest.raises(DomainError, match=refusal):
+        bud.quantum_noise_asd(dark, 7e-6, [2.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # Budget assembly
 # ---------------------------------------------------------------------------

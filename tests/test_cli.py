@@ -349,6 +349,24 @@ def test_ringdown_fit_trace_errors_exit_4(body, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_a_pooled_fit_names_the_file_it_cannot_parse(tmp_path, capsys):
+    good = tmp_path / "a.csv"
+    assert cli.main(["ringdown", "synth", "--out", str(good)]) == 0
+    text = good.read_text()
+    bad = tmp_path / "b.csv"
+    bad.write_text(text[: text.index("\n", 20_000) + 1] + "1,2,3\n")
+    assert cli.main(["ringdown", "fit", str(good), str(bad), str(good)]) == 4
+    assert capsys.readouterr().err == (
+        f"analysis error: trace CSV rows need 2 fields (time_s,value), got 3 (in {bad})\n"
+    )
+    # a shorthand's inputs follow the file
+    assert cli.main(["ringdown", "fit", str(bad), "--f0", "2.2"]) == 4
+    assert capsys.readouterr().err == (
+        f"analysis error: trace CSV rows need 2 fields (time_s,value), got 3 (in {bad})"
+        " (inputs: --set ringdown.f0=2.2)\n"
+    )
+
+
 def test_sweep_q_ideal_scaling(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(
@@ -658,6 +676,47 @@ def test_arithmetic_errors_name_their_inputs(assignment, error, tmp_path, capsys
     assert cli.main(["check", "--config", str(config), "--set", "grid.points=300"]) == 4
     assert capsys.readouterr().err.endswith(
         f" (inputs: --config {config}, --set grid.points=300)\n"
+    )
+
+
+def test_every_analysis_error_names_its_inputs(tmp_path, capsys):
+    trap = "omega_m must be finite, got inf"
+    assert cli.main(["check", "--set", "cavity.trap_power=1e300"]) == 4
+    assert capsys.readouterr().err == (
+        f"analysis error: {trap} (inputs: --set cavity.trap_power=1e300)\n"
+    )
+    config = tmp_path / "trap.yaml"
+    config.write_text("cavity:\n  trap_power: 1e300\n", encoding="utf-8")
+    assert cli.main(["check", "--config", str(config)]) == 4
+    assert capsys.readouterr().err == f"analysis error: {trap} (inputs: --config {config})\n"
+    argv = ["budget", "--out", "-", "--components", "quantum", "--set", "cavity.probe_power=0"]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == (
+        "analysis error: zero probe power gives infinite shot noise"
+        " (inputs: --set cavity.probe_power=0)\n"
+    )
+    # a FitError, given by a fit shorthand
+    flat = tmp_path / "flat.csv"
+    flat.write_text("time_s,value\n" + "".join(f"{i * 0.02:.8e},0.0\n" for i in range(5000)))
+    assert cli.main(["ringdown", "fit", str(flat), "--bin-seconds", "5"]) == 4
+    assert capsys.readouterr().err == (
+        "analysis error: non-positive bin means cannot be log-fit"
+        " (inputs: --set ringdown.bin_seconds=5)\n"
+    )
+
+
+def test_an_analysis_error_of_a_call_given_no_inputs_is_bare(tmp_path, capsys):
+    assert cli.main(["ringdown", "synth", "--sample-rate", "8.8", "--out", "-"]) == 4
+    assert capsys.readouterr().err == (
+        "analysis error: sample_rate 8.8 Hz under-samples f0 = 2.2 Hz"
+        " (the fit's envelope needs > 4 f0)\n"
+    )
+    short = tmp_path / "short.csv"
+    short.write_text(ringdown_mod.trace_to_csv(
+        ringdown_mod.RingdownTrace(sample_rate=50.0, samples=np.ones(200))))
+    assert cli.main(["ringdown", "fit", str(short)]) == 4
+    assert capsys.readouterr().err == (
+        "analysis error: record holds 8.8 cycles of 2.2 Hz, need >= 10\n"
     )
 
 
@@ -1172,6 +1231,14 @@ EXTREME_CALLS = {
     "bandwidth": (["ringdown", "fit", str(FIXTURE), "--bandwidth", "1e-300"], 4,
                   "analysis error: settling trim"),
     "f0": (["ringdown", "fit", str(FIXTURE), "--f0", "1e300"], 4, "analysis error: band "),
+    "synth-rate-4-f0": (["ringdown", "synth", "--sample-rate", "8.8", "--out", "-"], 4,
+                        "analysis error: sample_rate 8.8 Hz under-samples f0 = 2.2 Hz"),
+    "fit-4-s": (["ringdown", "fit", "{short}"], 4,
+                "analysis error: record holds 8.8 cycles of 2.2 Hz, need >= 10"),
+    "zero-probe-power": (
+        ["budget", "--components", "quantum", "--out", "-", "--set", "cavity.probe_power=0"], 4,
+        "analysis error: zero probe power gives infinite shot noise",
+    ),
 }
 
 
@@ -1186,6 +1253,10 @@ def extreme_traces(tmp_path_factory):
         paths[name].write_text(ringdown_mod.trace_to_csv(trace))
     paths["wide"].write_text("time_s,value\n-1e308,1\n1e308,2\n")
     paths["steep"].write_text("time_s,value\n-1.7e308,1\n0,2\n1.7e308,3\n")
+    # 4 s at 50 Hz: 8.8 cycles of the preset's 2.2 Hz
+    paths["short"] = root / "short.csv"
+    paths["short"].write_text(ringdown_mod.trace_to_csv(
+        ringdown_mod.RingdownTrace(sample_rate=50.0, samples=np.ones(200))))
     return {name: str(path) for name, path in paths.items()}
 
 

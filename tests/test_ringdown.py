@@ -92,6 +92,36 @@ def test_synthesize_validation():
         rd.synthesize_ringdown(2.2, 2000.0, 50.0, 60.0, noise_rms=-0.1)
 
 
+CYCLES_REFUSAL = "record holds 8.8 cycles of 2.2 Hz, need >= 10"
+RATE_REFUSAL = ("sample_rate 8.8 Hz under-samples f0 = 2.2 Hz "
+                "(the fit's envelope needs > 4 f0)")
+
+
+def test_synthesis_and_the_fit_refuse_too_few_cycles_alike():
+    with pytest.raises(DomainError) as synth:
+        rd.synthesize_ringdown(2.2, 2000.0, 50.0, 4.0)
+    with pytest.raises(DomainError) as fit:
+        rd.measure_q(rd.RingdownTrace(sample_rate=50.0, samples=np.ones(200)), 2.2, 0.5, 20.0)
+    assert str(synth.value) == str(fit.value) == CYCLES_REFUSAL
+
+
+def test_synthesis_and_the_envelope_refuse_a_rate_at_4_f0_alike():
+    with pytest.raises(DomainError) as synth:
+        rd.synthesize_ringdown(2.2, 2000.0, 8.8, 60.0)
+    with pytest.raises(DomainError) as env:
+        rd.envelope(rd.RingdownTrace(sample_rate=8.8, samples=np.ones(528)), 2.2)
+    assert str(synth.value) == str(env.value) == RATE_REFUSAL
+    # just above 4 f0 both take the record
+    rd.synthesize_ringdown(2.2, 2000.0, 8.81, 60.0)
+    rd.envelope(rd.RingdownTrace(sample_rate=8.81, samples=np.ones(528)), 2.2)
+
+
+def test_the_fit_refuses_the_nyquist_band_before_the_rate():
+    # bandpass runs before envelope, so its refusal is the one a fit gives
+    with pytest.raises(DomainError, match="exceeds Nyquist"):
+        rd.measure_q(rd.RingdownTrace(sample_rate=4.0, samples=np.ones(400)), 2.2, 0.5, 20.0)
+
+
 def test_synthesize_decay_and_infinite_q():
     tau = 2000.0 / (math.pi * 2.2)
     tr = rd.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0)
