@@ -7,7 +7,7 @@ Subcommands:
   sweep     sweep one numeric config field and tabulate a metric
 
 Exit codes: 0 success, 1 requirement check failed, 2 configuration
-error, 3 I/O error, 4 analysis-domain error.
+error, 3 I/O error, 4 any other failure (an analysis error).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -269,13 +270,13 @@ def cmd_sweep(args) -> int:
             f"unknown metric {args.metric!r}; choose from {', '.join(sorted(METRICS))}"
         )
     raw = load_raw(args.config, args.set)
-    set_numeric(raw, args.param, args.start)  # fail fast on unknown/non-numeric params
-    if args.log:
-        if args.start <= 0 or args.stop <= 0:
-            raise ConfigError("--log sweeps need positive endpoints")
-        values = np.geomspace(args.start, args.stop, args.steps)
-    else:
-        values = np.linspace(args.start, args.stop, args.steps)
+    if args.log and (args.start <= 0 or args.stop <= 0):
+        raise ConfigError("--log sweeps need positive endpoints")
+    # the first step checks the path, with --from as given where np.linspace made it nan
+    with np.errstate(all="ignore"):
+        values = (np.geomspace if args.log else np.linspace)(args.start, args.stop, args.steps)
+    if not math.isfinite(values[0]):
+        values[0] = args.start
     metric = METRICS[args.metric]
     # the grid depends on the grid section alone, so a sweep of any other
     # field builds it once
@@ -283,7 +284,7 @@ def cmd_sweep(args) -> int:
     grid = None
     results = []
     for v in values:
-        set_numeric(raw, args.param, float(v))  # build_config keeps no reference to raw
+        set_numeric(raw, args.param, v)  # build_config keeps no reference to raw
         cfg = build_config(raw)
         if grid is None or moves_grid:
             grid = cfg.grid()
@@ -393,19 +394,25 @@ def _inputs(args) -> str:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainError, ShapeError, FitError, ArithmeticError, MemoryError) as exc:
-        # extreme inputs overflow or exhaust memory: those errors are named by type
-        kind = f"{type(exc).__name__}: " if isinstance(exc, (ArithmeticError, MemoryError)) else ""
-        print(f"analysis error: {kind}{exc}{_inputs(args)}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    with warnings.catch_warnings():
+        # a warning shown is one stderr line, naming the inputs as an error does
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}{_inputs(args)}", file=sys.stderr
+        )
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except Exception as exc:
+            # a failure pendq did not raise is named by its type (an overflow, a warning)
+            own = isinstance(exc, (DomainError, ShapeError, FitError))
+            kind = "" if own else f"{type(exc).__name__}: "
+            print(f"analysis error: {kind}{exc}{_inputs(args)}", file=sys.stderr)
+            return EXIT_ANALYSIS
 
 
 def run(argv=None) -> int:

@@ -144,11 +144,11 @@ def merge_config(user: dict | None) -> dict:
 
 
 def _load_yaml(source: Any, where: str) -> Any:
-    """yaml.safe_load of a string or text file; malformed YAML and
-    non-UTF-8 bytes are config errors naming where they came from."""
+    """yaml.safe_load of a string or text file; malformed or too deeply
+    nested YAML and non-UTF-8 bytes are config errors naming where they came from."""
     try:
         return yaml.safe_load(source)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{where}: malformed YAML: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{where}: not UTF-8 text ({exc})") from exc

@@ -338,9 +338,9 @@ def _sci_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _sci_spans(
     x: np.ndarray, end: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ok, digits, e, span) of x: _sci_digits(x), and per value the
-    bytes of the unsigned plain cell d.dddddddde±dd followed by end."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, high, low, e, span) of x: ok and e of _sci_digits(x), its digits
+    after the leading one as two quads, and the unsigned cell d.dddddddde±dd then end."""
     ok, d, e = _sci_digits(x)
     # floor division by a scalar is several times faster than np.divmod
     upper = d // 10_000
@@ -352,7 +352,7 @@ def _sci_spans(
     span[:, 6:10].view("V4")[:, 0] = _DIGIT_QUADS[low]
     span[:, 10:14].view("V4")[:, 0] = _EXPONENTS[e + 99]
     span[:, 14:] = np.frombuffer(end, dtype=np.uint8)
-    return ok, d, e, span
+    return ok, high, low, e, span
 
 
 def _put_exact(cells: np.ndarray, bad: np.ndarray, exact: list[str]) -> np.ndarray:
@@ -379,7 +379,7 @@ def _csv_column(values, end: bytes = b",") -> _CsvColumn:
     """The cells of values, each span ending in end: a column laid out
     once, for several _csv_rows calls that share it."""
     x = np.asarray(values, dtype=float)
-    ok, _, _, span = _sci_spans(x, end)
+    ok, *_, span = _sci_spans(x, end)
     return _CsvColumn(x, ok, x < 0.0, span)
 
 
@@ -569,11 +569,9 @@ def _json_float_bytes(values) -> np.ndarray:
     fall back to json.dumps.
     """
     x = np.asarray(values, dtype=float)
-    ok, d, e, span = _sci_spans(x, _JSON_END)
-    upper = d // 10_000
-    low = d - upper * 10_000
+    ok, high, low, e, span = _sci_spans(x, _JSON_END)
     n = 9 - _TRAILING_ZEROS[low]  # significant digits
-    n -= np.where(low == 0, _TRAILING_ZEROS[upper - upper // 10_000 * 10_000], 0)
+    n -= np.where(low == 0, _TRAILING_ZEROS[high], 0)
     cells = np.zeros((x.size, _JSON_FLOAT_WIDTH), dtype=np.uint8)
     cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
     cells[:, 1:15] = span[:, :14] & _JSON_SCI_KEEP[n - 1]

@@ -47,7 +47,7 @@ from .core import (
     InsufficientDataError,
     ShapeError,
     _csv_float_pairs,
-    _csv_rows,
+    _csv_text,
     _require_finite,
     _require_nonnegative,
     _require_positive,
@@ -653,7 +653,7 @@ def trace_to_csv(trace: RingdownTrace) -> str:
     def rows(lo: int) -> str:
         values = trace.samples[lo : lo + _CSV_CHUNK_ROWS]
         times = trace._times(lo, lo + values.size)
-        return codecs.decode(_csv_rows([times, values], "\n"), "ascii")
+        return _csv_text([times, values], "\n")
 
     chunks = _in_order(rows, range(0, trace.samples.size, _CSV_CHUNK_ROWS))
     return _append_in_place(TRACE_HEADER + "\n", chunks)

@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import contextlib
 import dataclasses
 import gc
 import inspect
@@ -14,6 +15,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,14 @@ from pendq.config import (
     paper_preset,
     set_numeric,
 )
-from pendq.core import _CSV_FLOAT, DomainError
+from pendq.core import (
+    _CSV_FLOAT,
+    ConfigError,
+    DomainError,
+    FitError,
+    InsufficientDataError,
+    ShapeError,
+)
 from pendq.suspension import measurement_band_edge, pendulum_mode, violin_modes
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "ringdown_example.csv"
@@ -1239,6 +1248,13 @@ EXTREME_CALLS = {
         ["budget", "--components", "quantum", "--out", "-", "--set", "cavity.probe_power=0"], 4,
         "analysis error: zero probe power gives infinite shot noise",
     ),
+    # a warning that -W error raises is an analysis error named by its type
+    "trap-on-resonance": (["check", "--set", "cavity.trap_detuning_in_kappa=0"], 4,
+                          "analysis error: UserWarning: "),
+    "thick-fiber-check": (["check", "--set", "fiber.radius=5e-4"], 4,
+                          "analysis error: UserWarning: "),
+    "thick-fiber-budget": (["budget", "--out", "-", "--set", "fiber.radius=6e-4"], 4,
+                           "analysis error: UserWarning: "),
 }
 
 
@@ -1312,3 +1328,92 @@ def test_piped_trace_fits_alike_under_warnings_as_errors(fixture_fit_stdout):
     proc = _fit_under_warnings_as_errors("/dev/stdin", data)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == fixture_fit_stdout
+
+
+DEEP = "[" * 3000 + "]" * 3000
+
+
+def test_deeply_nested_yaml_is_a_config_error(tmp_path):
+    # the YAML parser recurses once per level and runs out of stack
+    config = tmp_path / "deep.yaml"
+    config.write_text(f"grid:\n  points: {DEEP}\n", encoding="utf-8")
+    for argv, where in ((["--set", f"grid.points={DEEP}"], "grid.points"),
+                        (["--config", str(config)], str(config))):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pendq.cli", "check", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
+        )
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {where}: malformed YAML: ")
+
+
+def test_a_warning_is_one_stderr_line():
+    argv = ["check", "--set", "fiber.radius=5e-4"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pendq.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: UserWarning: fiber aspect ratio l/r = 100.0 <= 100; thin-fiber model may be"
+        " inaccurate (inputs: --set fiber.radius=5e-4)\n"
+    )
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore")
+        cli.main(argv)
+    assert proc.stdout == out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (ConfigError("bad"), 2, "config error: bad"),
+        (FileNotFoundError("gone"), 3, "i/o error: gone"),
+        # pendq's own refusals are bare
+        (DomainError("out of domain"), 4, "analysis error: out of domain"),
+        (ShapeError("mismatch"), 4, "analysis error: mismatch"),
+        (FitError("no fit"), 4, "analysis error: no fit"),
+        (InsufficientDataError("too few"), 4, "analysis error: too few"),
+        # any other failure is named by its type
+        (OverflowError("too big"), 4, "analysis error: OverflowError: too big"),
+        (ZeroDivisionError("by zero"), 4, "analysis error: ZeroDivisionError: by zero"),
+        (MemoryError(), 4, "analysis error: MemoryError: "),
+        (ValueError("odd"), 4, "analysis error: ValueError: odd"),
+        (UserWarning("raised"), 4, "analysis error: UserWarning: raised"),
+    ],
+)
+def test_one_rule_maps_failures_to_exit_codes(exc, code, err, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "effective_requirements", fail)
+    assert cli.main(["check", "--set", "grid.points=300"]) == code
+    inputs = " (inputs: --set grid.points=300)" if code == 4 else ""
+    assert capsys.readouterr().err == f"{err}{inputs}\n"
+
+
+SWEEP_OFFSET = ["sweep", "--param", "test_mass.attachment_offset", "--steps", "3",
+                "--metric", "q_ideal", "--out", "-"]
+
+
+@pytest.mark.parametrize(
+    "ends, message",
+    [
+        (["--from", "inf", "--to", "1e-4"], "expected a finite number, got inf"),
+        (["--from=-inf", "--to", "1e-4", "--log"], "--log sweeps need positive endpoints"),
+        (["--from", "1e-4", "--to", "inf", "--log"], "expected a finite number, got inf"),
+        # the spacing overflows, and the first step still takes --from as given
+        (["--from=-1e308", "--to", "1e308"], "attachment_offset must be > 0, got -1e+308"),
+    ],
+)
+def test_a_non_finite_sweep_value_is_a_config_error(ends, message, capsys):
+    # the spacing of an infinite end warns nowhere: its step refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*SWEEP_OFFSET, *ends]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+    assert len(err.splitlines()) == 1

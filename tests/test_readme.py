@@ -1,16 +1,17 @@
-"""README's Python API example runs, and its command lines parse, as
-written against this checkout."""
+"""README's Python API example runs, and its command lines parse and
+run, as written against this checkout."""
 
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from pendq import cli
+from pendq import cli, ringdown
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +50,21 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # the files the lines read, beside the ones earlier lines write
+    monkeypatch.chdir(tmp_path)
+    Path("survey.csv").write_text(
+        "mass_kg,dissipation_per_s\n7e-6,4.4e-6,this work\n1e-3,1e-4\n40,1e-8,LIGO\n"
+    )
+    for seed in (1, 2, 3):
+        trace = ringdown.synthesize_ringdown(2.2, 2000.0, 50.0, 240.0, noise_rms=0.4, seed=seed)
+        Path(f"run{seed}.csv").write_text(ringdown.trace_to_csv(trace))
+    for argv in _readme_commands():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv[1:])
+        err = capsys.readouterr().err
+        assert code in ((0, 1) if argv[1] == "check" else (0,)), (shlex.join(argv), err)
+        assert err == "", shlex.join(argv)

@@ -464,6 +464,42 @@ def test_blank_line_between_rows_leaves_the_exact_path():
             rd.trace_from_csv(edited)
 
 
+_BLANK_RUNS = {
+    # slice characters, blank lines, the rows before them
+    "64-chars": (64, 200, 100),
+    # at the default the run follows the header, so the first slice is all blank
+    "default": (rd._CSV_SLICE_CHARS, 600_000, 0),
+}
+
+
+@pytest.mark.parametrize("run", _BLANK_RUNS.values(), ids=_BLANK_RUNS.keys())
+@pytest.mark.parametrize("end", ["\n", "\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("sample_rate", [50.0, 30.0])
+def test_a_slice_of_blank_lines_is_skipped(monkeypatch, run, end, sample_rate):
+    slice_chars, blanks, before = run
+    monkeypatch.setattr(rd, "_CSV_SLICE_CHARS", slice_chars)
+    parsed = []
+    parse_rows = rd._parse_rows
+
+    def spy(part):
+        parsed.append(parse_rows(part))
+        return parsed[-1]
+
+    monkeypatch.setattr(rd, "_parse_rows", spy)
+    trace = rd.synthesize_ringdown(2.2, 2000.0, sample_rate, 240.0, noise_rms=0.4, seed=5)
+    written = rd.trace_to_csv(trace)
+    header, *rows = written.splitlines(keepends=True)
+    text = header + "".join(rows[:before]) + "\n" * blanks + "".join(rows[before:])
+    text = text.replace("\n", end)
+    outcome = _outcome(rd.trace_from_csv, text)
+    assert any(p.size == 0 for p in parsed)  # a slice held blank lines alone
+    assert outcome == _outcome(_reference_trace, text)
+    if sample_rate == 50.0:  # 0.02 s steps are short decimals, even off the exact path
+        assert outcome == _outcome(rd.trace_from_csv, written)
+    else:  # the 9-digit rounding allowance is for trace_to_csv's rows alone
+        assert outcome == "DomainError"
+
+
 def test_long_record_reads_back_at_its_rate():
     # 2 h at 30 Hz: cells round to 1e-6 s, 3e-5 of a step; Q is not
     # asserted, a record of 3.5 tau fits biased (the noise floor)
